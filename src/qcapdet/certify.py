@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import QuantumChannel, apply_channel, apply_extended_channel
+from .channels import QuantumChannel, apply_channel, apply_extended_channel, apply_kraus
 from .errors import (
     DegenerateMeasurementError,
     DimensionMismatchError,
@@ -39,7 +39,7 @@ from .linalg import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from .measurement import Povm, coarse_grain, iter_partitions, outcome_probabilities, t_vector
+from .measurement import Povm, coarse_grain, iter_partitions, outcome_weights
 from .probes import BipartiteProbeState, reduced_system_state
 
 CHAIN_TOL = 1e-9
@@ -58,6 +58,7 @@ class CertificationResult:
     private_lower: float  # lower bound on the private information
     ea_classical_lower: float  # lower bound on the entanglement-assisted capacity
     grouping: tuple[tuple[int, ...], ...]
+    probabilities: np.ndarray = field(repr=False, compare=False)  # outcome distribution before grouping
     probe_label: str = field(default="", compare=False)
     channel_label: str = field(default="", compare=False)
     povm_label: str = field(default="povm", compare=False)
@@ -141,6 +142,70 @@ def _best_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
     return best
 
 
+class Detector:
+    """The channel-independent half of the bound for one probe and POVM.
+
+    Built and checked once: the marginal rho (two routes agree), one
+    eigendecomposition of rho^T giving S(rho), the purification sqrt(rho^T),
+    the pseudo-inverse and the rank, and t with its sum rule.  Each
+    :meth:`certify` call checks every channel output state, the outcome
+    distribution, and the chain qdet <= I_c against the exact oracle.
+    """
+
+    def __init__(self, probe: BipartiteProbeState, povm: Povm):
+        rho = reduced_system_state(probe)
+        evals, evecs = hermitian_eigen(rho.T)
+        spectrum = np.clip(evals, 0.0, None)
+        keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
+        inverse = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
+        self.probe = probe
+        self.povm = povm
+        self.rho = rho
+        self.input_entropy = shannon_entropy(spectrum)
+        self.root = (evecs * np.sqrt(spectrum)) @ evecs.conj().T  # sqrt(rho^T)
+        psi = double_ket(self.root)
+        self.purification = np.outer(psi, psi.conj())
+        self.t = outcome_weights(probe, povm, (evecs * inverse) @ evecs.conj().T, int(keep.sum()))
+
+    def certify(self, ch: QuantumChannel, optimize: bool = False) -> CertificationResult:
+        """Bound for one channel; ``optimize`` searches outcome coarse-grainings."""
+        d = self.probe.d
+        output_entropy = von_neumann_entropy(apply_channel(ch, self.rho))  # checks dim_in
+        if self.povm.dim != d * ch.dim_out:
+            raise DimensionMismatchError(f"POVM dim {self.povm.dim} != reference x output = {d * ch.dim_out}")
+        joint = validate_density_matrix(apply_kraus(ch, self.probe.sigma, d))
+        p = self.povm.probabilities(joint)
+        if optimize:
+            qdet, grouping = _best_grouping(p, self.t, output_entropy)
+            pm, tm = coarse_grain(p, self.t, grouping)
+        else:
+            grouping = tuple((i,) for i in range(p.size))
+            qdet = qdet_from_statistics(p, self.t, output_entropy)
+            pm, tm = p, self.t
+        # t . p > 0 was checked by qdet_from_statistics; merging keeps t . p
+        prob_entropy, log_tp = shannon_entropy(pm), math.log2(float(tm @ pm))
+        purified = apply_kraus(ch, self.purification, d)
+        oracle = output_entropy - von_neumann_entropy(purified)
+        if qdet > oracle + CHAIN_TOL:
+            raise InternalConsistencyError(
+                f"detected bound {qdet} exceeds the coherent information {oracle}"
+            )
+        return CertificationResult(
+            qdet=qdet,
+            output_entropy=output_entropy,
+            prob_entropy=prob_entropy,
+            log_tp=log_tp,
+            input_entropy=self.input_entropy,
+            private_lower=qdet,
+            ea_classical_lower=self.input_entropy + qdet,
+            grouping=grouping,
+            probabilities=p,
+            probe_label=self.probe.label,
+            channel_label=ch.label,
+            povm_label=self.povm.name,
+        )
+
+
 def certify(
     probe: BipartiteProbeState,
     ch: QuantumChannel,
@@ -149,43 +214,10 @@ def certify(
 ) -> CertificationResult:
     """Run the full detection pipeline for one probe/channel/POVM triple.
 
-    Computes the outcome distribution, the channel-independent weights and
-    the exact output entropy of the model, optionally optimizes over merged
-    outcomes, and cross-checks the result against the coherent-information
-    oracle (cheap at these dimensions).
+    Equivalent to ``Detector(probe, povm).certify(ch, optimize)``; build the
+    detector once to evaluate several channels.
     """
-    rho = reduced_system_state(probe)
-    output_entropy = von_neumann_entropy(apply_channel(ch, rho))
-    p = outcome_probabilities(probe, ch, povm)
-    t = t_vector(probe, povm)
-    if optimize:
-        qdet, grouping = _best_grouping(p, t, output_entropy)
-    else:
-        grouping = tuple((i,) for i in range(p.size))
-        qdet = qdet_from_statistics(p, t, output_entropy)
-    oracle = coherent_information(rho, ch)
-    if qdet > oracle + CHAIN_TOL:
-        raise InternalConsistencyError(
-            f"detected bound {qdet} exceeds the coherent information {oracle}"
-        )
-    pm, tm = coarse_grain(p, t, grouping)
-    prob_entropy = shannon_entropy(pm)
-    log_tp = math.log2(float(tm @ pm))
-    input_entropy = von_neumann_entropy(rho)
-    qdet = output_entropy - prob_entropy - log_tp  # definitional identity, exact
-    return CertificationResult(
-        qdet=qdet,
-        output_entropy=output_entropy,
-        prob_entropy=prob_entropy,
-        log_tp=log_tp,
-        input_entropy=input_entropy,
-        private_lower=qdet,
-        ea_classical_lower=input_entropy + qdet,
-        grouping=grouping,
-        probe_label=probe.label,
-        channel_label=ch.label,
-        povm_label=povm.name,
-    )
+    return Detector(probe, povm).certify(ch, optimize)
 
 
 def hashing_bound(d: int, p: float) -> float:
@@ -294,11 +326,9 @@ def measurement_diagnostics(
     vector.  Componentwise r <= t, and the spectral mixture of cond
     reproduces the outcome distribution.
     """
-    rho = reduced_system_state(probe)
-    root = matrix_sqrt(rho.T)
-    root_inv = pseudo_inverse(root)
-    psi = double_ket(root)
-    joint = apply_extended_channel(ch, np.outer(psi, psi.conj()), probe.d)
+    detector = Detector(probe, povm)
+    root_inv = pseudo_inverse(detector.root)
+    joint = apply_extended_channel(ch, detector.purification, probe.d)
     evals, evecs = hermitian_eigen(joint)
     keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
     basis = evecs[:, keep]
@@ -310,4 +340,4 @@ def measurement_diagnostics(
             side = np.kron(op @ root_inv, eye_out)
             m += a * (side.conj().T @ element @ side)
         cond[i, :] = np.einsum("sj,st,tj->j", basis.conj(), m, basis).real
-    return cond.sum(axis=1), t_vector(probe, povm), cond
+    return cond.sum(axis=1), detector.t, cond

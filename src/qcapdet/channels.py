@@ -49,9 +49,8 @@ def weyl_unitary(d: int, m: int, n: int) -> np.ndarray:
     if not (0 <= m < d and 0 <= n < d):
         raise ValueError(f"Weyl indices ({m}, {n}) out of range for d={d}")
     u = np.zeros((d, d), dtype=complex)
-    phases = np.exp(2j * np.pi * m * np.arange(d) / d)
-    for k in range(d):
-        u[k, (k + n) % d] = phases[k]
+    k = np.arange(d)
+    u[k, (k + n) % d] = np.exp(2j * np.pi * m * k / d)
     return u
 
 
@@ -73,6 +72,8 @@ def pauli_channel(probs, label: str | None = None) -> QuantumChannel:
 
 def depolarizing_channel(d: int, p: float) -> QuantumChannel:
     """Identity with weight 1-p, all other Weyl unitaries with weight p/(d^2-1)."""
+    if d < 2:
+        raise ValueError(f"dimension {d} must be at least 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength {p} outside [0, 1]")
     grid = np.full((d, d), p / (d * d - 1))
@@ -85,6 +86,8 @@ def erasure_channel(d: int, p: float) -> QuantumChannel:
 
     Output dimension is d+1; the flag is the output basis state at index d.
     """
+    if d < 2:
+        raise ValueError(f"dimension {d} must be at least 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} outside [0, 1]")
     embed = np.zeros((d + 1, d), dtype=complex)
@@ -97,15 +100,23 @@ def erasure_channel(d: int, p: float) -> QuantumChannel:
     return QuantumChannel(d, d + 1, tuple(kraus), label=f"erasure(d={d}, p={p:g})")
 
 
+def apply_kraus(ch: QuantumChannel, state: np.ndarray, dim_ref: int) -> np.ndarray:
+    """Unchecked (I_ref x E)(state): one batched product over the stacked
+    Kraus operators, no I_ref x K formed.  With dim_ref = 1 this is E(state)."""
+    kraus = np.stack(ch.kraus)  # (n, dim_out, dim_in)
+    n, dim_out, dim_in = kraus.shape
+    left = kraus[:, None] @ state.reshape(dim_ref, dim_in, dim_ref * dim_in)[None]
+    left = left.reshape(n, dim_ref * dim_out, dim_ref, dim_in)
+    out = left @ kraus.conj().transpose(0, 2, 1)[:, None]
+    return out.reshape(n, dim_ref * dim_out, dim_ref * dim_out).sum(axis=0)
+
+
 def apply_channel(ch: QuantumChannel, rho) -> np.ndarray:
     """sum_k K rho K^dagger, validated as a density matrix."""
     rho = validate_density_matrix(rho)
     if rho.shape[0] != ch.dim_in:
         raise DimensionMismatchError(f"state dim {rho.shape[0]} != channel input dim {ch.dim_in}")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for k in ch.kraus:
-        out += k @ rho @ k.conj().T
-    return validate_density_matrix(out)
+    return validate_density_matrix(apply_kraus(ch, rho, 1))
 
 
 def apply_extended_channel(ch: QuantumChannel, sigma, dim_ref: int) -> np.ndarray:
@@ -115,9 +126,4 @@ def apply_extended_channel(ch: QuantumChannel, sigma, dim_ref: int) -> np.ndarra
         raise DimensionMismatchError(
             f"state dim {sigma.shape[0]} does not factor as {dim_ref} x {ch.dim_in}"
         )
-    eye_ref = np.eye(dim_ref)
-    out = np.zeros((dim_ref * ch.dim_out,) * 2, dtype=complex)
-    for k in ch.kraus:
-        ext = np.kron(eye_ref, k)
-        out += ext @ sigma @ ext.conj().T
-    return validate_density_matrix(out)
+    return validate_density_matrix(apply_kraus(ch, sigma, dim_ref))

@@ -13,13 +13,12 @@ import sys
 
 from .certify import threshold_fidelity
 from .errors import CertificationError, ConfigError
-from .measurement import outcome_probabilities
 from .harness import (
-    SweepSpec,
     build_channel,
     build_povm,
     build_probe,
     parse_sweep,
+    read_int,
     run_point,
     run_sweep,
     figure_rows,
@@ -66,14 +65,19 @@ def _grouping_text(grouping) -> str:
     return ";".join("+".join(str(i) for i in group) for group in grouping)
 
 
-def _cmd_certify(args) -> int:
+def _load_point(args):
+    """The config document, its probe, channel and POVM, shot count and seed."""
     doc = _apply_overrides(_load_config(args.config), args)
     probe = build_probe(doc.get("probe", {}) or _missing("probe"))
     channel = build_channel(doc.get("channel", {}) or _missing("channel"))
     povm = build_povm(doc.get("povm", {}) or _missing("povm"), probe.d)
-    shots = int(doc.get("shots", 0))
-    seed = int(doc.get("seed", 0))
-    result, estimate, record = run_point(
+    shots = read_int(doc, "shots", "config", default=0)
+    return doc, probe, channel, povm, shots, read_int(doc, "seed", "config", default=0)
+
+
+def _cmd_certify(args) -> int:
+    doc, probe, channel, povm, shots, seed = _load_point(args)
+    result, estimate, _ = run_point(
         probe, channel, povm, optimize=bool(doc.get("optimize", False)), shots=shots, seed=seed
     )
     row = {
@@ -158,16 +162,11 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    doc = _apply_overrides(_load_config(args.config), args)
-    probe = build_probe(doc.get("probe", {}) or _missing("probe"))
-    channel = build_channel(doc.get("channel", {}) or _missing("channel"))
-    povm = build_povm(doc.get("povm", {}) or _missing("povm"), probe.d)
-    shots = int(doc.get("shots", 0))
+    _, probe, channel, povm, shots, seed = _load_point(args)
     if shots < 1:
         raise ConfigError("sample requires shots >= 1 (set 'shots' or pass --shots)")
-    seed = int(doc.get("seed", 0))
     result, estimate, record = run_point(probe, channel, povm, shots=shots, seed=seed)
-    p = outcome_probabilities(probe, channel, povm)
+    p = result.probabilities
     freq = record.frequencies()
     rows = [
         {

@@ -18,7 +18,7 @@ import numpy as np
 
 from .certify import (
     CertificationResult,
-    certify,
+    Detector,
     depolarizing_isotropic_qdet,
     erasure_exact_capacity,
     erasure_qdet_closed_form,
@@ -26,21 +26,18 @@ from .certify import (
 )
 from .channels import (
     QuantumChannel,
-    apply_channel,
     depolarizing_channel,
     erasure_channel,
     pauli_channel,
 )
 from .errors import CertificationError, ConfigError
-from .linalg import von_neumann_entropy
-from .measurement import Povm, bell_povm, erasure_povm, outcome_probabilities, t_vector
+from .measurement import Povm, bell_povm, erasure_povm
 from .probes import (
     BipartiteProbeState,
     bell_diagonal_probe,
     custom_probe,
     isotropic_probe,
     max_entangled_probe,
-    reduced_system_state,
 )
 from .sampling import ShotRecord, derive_subseed, sample_outcomes
 
@@ -69,26 +66,34 @@ def _require(spec: dict, key: str, kind: str):
     return spec[key]
 
 
+def read_int(spec: dict, key: str, kind: str, default: int | None = None) -> int:
+    """Integer field of a config section; booleans and fractions are rejected."""
+    value = spec.get(key, default) if default is not None else _require(spec, key, kind)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{kind} field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def build_channel(spec: dict) -> QuantumChannel:
     kind = _require(spec, "type", "channel")
     try:
         if kind == "pauli":
             return pauli_channel(np.asarray(_require(spec, "probs", "channel"), dtype=float))
         if kind == "depolarizing":
-            return depolarizing_channel(int(_require(spec, "d", "channel")), float(_require(spec, "p", "channel")))
+            return depolarizing_channel(read_int(spec, "d", "channel"), float(_require(spec, "p", "channel")))
         if kind == "erasure":
-            return erasure_channel(int(_require(spec, "d", "channel")), float(_require(spec, "p", "channel")))
+            return erasure_channel(read_int(spec, "d", "channel"), float(_require(spec, "p", "channel")))
         if kind == "kraus":
             ops = [matrix_from_json(k) for k in _require(spec, "kraus", "channel")]
             return QuantumChannel(
-                int(_require(spec, "dim_in", "channel")),
-                int(_require(spec, "dim_out", "channel")),
+                read_int(spec, "dim_in", "channel"),
+                read_int(spec, "dim_out", "channel"),
                 tuple(ops),
                 label=spec.get("label", "kraus"),
             )
-    except CertificationError as exc:
-        raise ConfigError(f"invalid channel spec: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (CertificationError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid channel spec: {exc}") from exc
     raise ConfigError(f"unknown channel type {kind!r}")
 
@@ -97,9 +102,9 @@ def build_probe(spec: dict) -> BipartiteProbeState:
     kind = _require(spec, "type", "probe")
     try:
         if kind == "max_entangled":
-            return max_entangled_probe(int(_require(spec, "d", "probe")))
+            return max_entangled_probe(read_int(spec, "d", "probe"))
         if kind == "isotropic":
-            return isotropic_probe(int(_require(spec, "d", "probe")), float(_require(spec, "F", "probe")))
+            return isotropic_probe(read_int(spec, "d", "probe"), float(_require(spec, "F", "probe")))
         if kind == "bell_diagonal":
             return bell_diagonal_probe(np.asarray(_require(spec, "q", "probe"), dtype=float))
         if kind == "custom":
@@ -107,9 +112,7 @@ def build_probe(spec: dict) -> BipartiteProbeState:
             weights = [float(_require(t, "weight", "probe term")) for t in terms]
             ops = [matrix_from_json(_require(t, "op", "probe term")) for t in terms]
             return custom_probe(weights, ops)
-    except CertificationError as exc:
-        raise ConfigError(f"invalid probe spec: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (CertificationError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid probe spec: {exc}") from exc
     raise ConfigError(f"unknown probe type {kind!r}")
 
@@ -123,11 +126,11 @@ def build_povm(spec: dict, d: int) -> Povm:
             return erasure_povm(d)
         if kind == "custom":
             elements = [matrix_from_json(e) for e in _require(spec, "elements", "povm")]
+            if not elements:
+                raise ConfigError("custom povm spec needs at least one element")
             labels = tuple(spec.get("labels", ()))
             return Povm(elements[0].shape[0], tuple(elements), labels, name="custom")
-    except CertificationError as exc:
-        raise ConfigError(f"invalid povm spec: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (CertificationError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid povm spec: {exc}") from exc
     raise ConfigError(f"unknown povm type {kind!r}")
 
@@ -167,9 +170,9 @@ def parse_sweep(doc: dict) -> SweepSpec:
         variable=_require(sweep, "variable", "sweep"),
         start=float(_require(sweep, "start", "sweep")),
         stop=float(_require(sweep, "stop", "sweep")),
-        steps=int(_require(sweep, "steps", "sweep")),
-        shots=int(doc.get("shots", 0)),
-        seed=int(doc.get("seed", 0)),
+        steps=read_int(sweep, "steps", "sweep"),
+        shots=read_int(doc, "shots", "config", default=0),
+        seed=read_int(doc, "seed", "config", default=0),
         optimize=bool(doc.get("optimize", False)),
     )
 
@@ -219,36 +222,34 @@ def run_point(
     seed: int = 0,
 ) -> tuple[CertificationResult, float | None, ShotRecord | None]:
     """Certify one configuration, optionally with a finite-shot estimate."""
-    result = certify(probe, channel, povm, optimize=optimize)
+    return _evaluate(Detector(probe, povm), channel, optimize, shots, seed)
+
+
+def _evaluate(detector: Detector, channel: QuantumChannel, optimize: bool, shots: int, seed: int):
+    result = detector.certify(channel, optimize=optimize)
     if shots <= 0:
         return result, None, None
-    rho = reduced_system_state(probe)
-    output_entropy = von_neumann_entropy(apply_channel(channel, rho))
-    p = outcome_probabilities(probe, channel, povm)
-    record = sample_outcomes(p, shots, seed)
-    return result, estimate_qdet(record, t_vector(probe, povm), output_entropy), record
+    record = sample_outcomes(result.probabilities, shots, seed)
+    return result, estimate_qdet(record, detector.t, result.output_entropy), record
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One certification row per grid point, in grid order."""
-    d = None
+    """One certification row per grid point, in grid order.  A 'p' sweep
+    keeps one detector; an 'F' sweep keeps one channel."""
     rows = []
     grid = np.linspace(spec.start, spec.stop, spec.steps)
-    povm_cache: Povm | None = None
+    detector: Detector | None = None
     for i, value in enumerate(grid):
         channel_spec, probe_spec = _substitute(spec, float(value))
-        channel = build_channel(channel_spec)
-        probe = build_probe(probe_spec)
-        if povm_cache is None or probe.d != d:
-            d = probe.d
-            povm_cache = build_povm(spec.povm, d)
-        result, estimate, _ = run_point(
-            probe,
-            channel,
-            povm_cache,
-            optimize=spec.optimize,
-            shots=spec.shots,
-            seed=derive_subseed(spec.seed, i),
+        if detector is None or spec.variable == "p":
+            channel = build_channel(channel_spec)
+        if detector is None or spec.variable == "F":
+            probe = build_probe(probe_spec)
+            povm = build_povm(spec.povm, probe.d) if detector is None else detector.povm
+            detector = Detector(probe, povm)
+        d = detector.probe.d
+        result, estimate, _ = _evaluate(
+            detector, channel, spec.optimize, spec.shots, derive_subseed(spec.seed, i)
         )
         row: dict = {spec.variable: float(value), "qdet": result.qdet}
         family = _closed_form_family(channel_spec, probe_spec, spec.povm)
@@ -284,15 +285,15 @@ def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
         columns = ["p", "q_exact"] + [f"qdet_F{f:.2f}" for f in FIGURE_FIDELITIES]
     else:
         raise ConfigError(f"unknown figure {which}; pick 1 or 2")
-    probes = {f: isotropic_probe(2, f) for f in FIGURE_FIDELITIES}
+    detectors = {f: Detector(isotropic_probe(2, f), povm) for f in FIGURE_FIDELITIES}
     rows = []
     for p in grid:
         row: dict = {"p": float(p)}
         if which == 2:
             row["q_exact"] = erasure_exact_capacity(2, float(p))
         channel = make_channel(float(p))
-        for f, probe in probes.items():
-            row[f"qdet_F{f:.2f}"] = certify(probe, channel, povm).qdet
+        for f, detector in detectors.items():
+            row[f"qdet_F{f:.2f}"] = detector.certify(channel).qdet
         rows.append(row)
     return columns, rows
 

@@ -31,7 +31,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InvalidStateError("matrix contains non-finite entries")
     return a
 
@@ -45,12 +45,9 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace; return the array.
-
-    Raises InvalidStateError if any invariant fails beyond tolerance.
-    """
-    rho = as_complex_matrix(rho)
+def _density_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a complex matrix after checking that it is a density
+    matrix: square, Hermitian, of unit trace and positive semidefinite."""
     if rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
     if not is_hermitian(rho):
@@ -61,6 +58,16 @@ def validate_density_matrix(rho) -> np.ndarray:
     evals = np.linalg.eigvalsh(hermitian_part(rho))
     if evals.min() < -PSD_TOL:
         raise InvalidStateError(f"density matrix has negative eigenvalue {evals.min()}")
+    return evals
+
+
+def validate_density_matrix(rho) -> np.ndarray:
+    """Check Hermiticity, positivity and unit trace; return the array.
+
+    Raises InvalidStateError if any invariant fails beyond tolerance.
+    """
+    rho = as_complex_matrix(rho)
+    _density_spectrum(rho)
     return rho
 
 
@@ -84,9 +91,9 @@ def _entropy_bits(spectrum: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho) -> float:
-    """Spectral entropy of a density matrix, in bits."""
-    rho = validate_density_matrix(rho)
-    evals = np.linalg.eigvalsh(hermitian_part(rho))
+    """Spectral entropy of a density matrix, in bits; checked as by
+    validate_density_matrix, from the same eigenvalues."""
+    evals = _density_spectrum(as_complex_matrix(rho))
     return _entropy_bits(np.clip(evals, 0.0, None))
 
 

@@ -21,13 +21,11 @@ from .errors import (
 )
 from .linalg import (
     PSD_TOL,
-    RECON_TOL,
     TP_TOL,
     as_complex_matrix,
     double_ket,
     hermitian_part,
     is_hermitian,
-    partial_trace_reference,
     probability_vector,
     pseudo_inverse,
     psd_rank,
@@ -43,6 +41,8 @@ class Povm:
     elements: tuple[np.ndarray, ...]
     labels: tuple[str, ...] = field(default=(), compare=False)
     name: str = field(default="povm", compare=False)
+    # Row i is Pi_i^T flattened, so matrix @ X.reshape(-1) gives Tr[X Pi_i].
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -63,40 +63,29 @@ class Povm:
             raise DimensionMismatchError("label count differs from element count")
         object.__setattr__(self, "elements", ops)
         object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "matrix", np.stack(ops).transpose(0, 2, 1).reshape(len(ops), -1))
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def probabilities(self, state: np.ndarray) -> np.ndarray:
+        """Outcome distribution Tr[state Pi_i], checked as a probability vector."""
+        return probability_vector((self.matrix @ state.reshape(-1)).real)
 
-def _bell_projector(d: int, m: int, n: int) -> np.ndarray:
-    v = double_ket(weyl_unitary(d, m, n)) / np.sqrt(d)
-    return np.outer(v, v.conj())
 
-
-def _bell_local_form(d: int, m: int, n: int) -> np.ndarray:
-    """Same projector expanded over products of Weyl unitaries and their conjugates."""
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for p in range(d):
-        for q in range(d):
-            u = weyl_unitary(d, p, q)
-            out += np.exp(2j * np.pi * (n * p - m * q) / d) * np.kron(u, u.conj())
-    return out / d**2
+def _bell_projectors(d: int) -> np.ndarray:
+    """The d^2 generalized Bell projectors stacked in (m, n) order."""
+    vecs = np.array([double_ket(weyl_unitary(d, m, n)) for m in range(d) for n in range(d)])
+    vecs /= np.sqrt(d)
+    return vecs[:, :, None] * vecs[:, None, :].conj()
 
 
 def bell_povm(d: int) -> Povm:
     """The d^2 projectors onto generalized Bell states, in (m, n) order."""
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
-    elements = []
-    labels = []
-    for m in range(d):
-        for n in range(d):
-            proj = _bell_projector(d, m, n)
-            if np.max(np.abs(proj - _bell_local_form(d, m, n))) > RECON_TOL:
-                raise InternalConsistencyError("Bell projector local expansion failed")
-            elements.append(proj)
-            labels.append(f"bell_{m}_{n}")
-    return Povm(d * d, tuple(elements), tuple(labels), name=f"bell(d={d})")
+    labels = tuple(f"bell_{m}_{n}" for m in range(d) for n in range(d))
+    return Povm(d * d, tuple(_bell_projectors(d)), labels, name=f"bell(d={d})")
 
 
 def erasure_povm(d: int) -> Povm:
@@ -107,12 +96,8 @@ def erasure_povm(d: int) -> Povm:
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
     lift = np.kron(np.eye(d), embed)  # reference x first-d-levels isometry
-    elements = []
-    labels = []
-    for m in range(d):
-        for n in range(d):
-            elements.append(lift @ _bell_projector(d, m, n) @ lift.conj().T)
-            labels.append(f"bell_{m}_{n}")
+    elements = list(lift @ _bell_projectors(d) @ lift.conj().T)
+    labels = [f"bell_{m}_{n}" for m in range(d) for n in range(d)]
     flag = np.zeros((d + 1, d + 1), dtype=complex)
     flag[d, d] = 1.0
     for i in range(d):
@@ -133,9 +118,7 @@ def outcome_probabilities(
         raise DimensionMismatchError(
             f"POVM dim {povm.dim} != reference x output = {probe.d * ch.dim_out}"
         )
-    out = apply_extended_channel(ch, probe.sigma, probe.d)
-    p = [np.trace(out @ e).real for e in povm.elements]
-    return probability_vector(p)
+    return povm.probabilities(apply_extended_channel(ch, probe.sigma, probe.d))
 
 
 def pauli_bell_convolution(channel_probs, probe_weights) -> np.ndarray:
@@ -161,19 +144,23 @@ def t_vector(probe: BipartiteProbeState, povm: Povm) -> np.ndarray:
     identity factor on the channel output space so dimension-changing
     channels are covered.
     """
+    rho = reduced_system_state(probe)
+    return outcome_weights(probe, povm, pseudo_inverse(rho.T), psd_rank(rho))
+
+
+def outcome_weights(probe: BipartiteProbeState, povm: Povm, rho_t_pinv, rank: int) -> np.ndarray:
+    """The weights of :func:`t_vector` from a precomputed pinv(rho^T) and
+    rank(rho), checked against the sum rule sum_i t_i = dim_out * rank."""
     if povm.dim % probe.d != 0:
         raise DimensionMismatchError(f"POVM dim {povm.dim} not divisible by probe dim {probe.d}")
     dim_out = povm.dim // probe.d
-    rho = reduced_system_state(probe)
-    rho_t_pinv = pseudo_inverse(rho.T)
     left = sum(
         a * (op @ rho_t_pinv @ op.conj().T)
         for a, op in zip(probe.weights, probe.operators)
     )
-    big = np.kron(left, np.eye(dim_out))
-    t = np.array([np.trace(big @ e).real for e in povm.elements])
+    t = (povm.matrix @ np.kron(left, np.eye(dim_out)).reshape(-1)).real
     t = np.where((t < 0.0) & (t > -PSD_TOL), 0.0, t)
-    expected = dim_out * psd_rank(rho)
+    expected = dim_out * rank
     if abs(t.sum() - expected) > 1e-8:
         raise InternalConsistencyError(
             f"t-vector sum {t.sum()} violates the sum rule (expected {expected})"

@@ -18,7 +18,6 @@ from .linalg import (
     PROB_TOL,
     RECON_TOL,
     as_complex_matrix,
-    double_ket,
     hermitian_eigen,
     operator_from_double_ket,
     partial_trace_reference,
@@ -27,11 +26,9 @@ from .linalg import (
 
 
 def _assemble_sigma(weights: np.ndarray, operators: np.ndarray) -> np.ndarray:
-    sigma = np.zeros((operators.shape[1] ** 2,) * 2, dtype=complex)
-    for a, op in zip(weights, operators):
-        v = double_ket(op)
-        sigma += a * np.outer(v, v.conj())
-    return sigma
+    """sum_l a_l |A_l>><<A_l| from the stacked double-kets of the A_l."""
+    kets = operators.reshape(len(operators), -1)
+    return (kets.T * weights) @ kets.conj()
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+SAMPLE_CHUNK = 1 << 18  # draws per chunk; bounds sampling memory at a few MB
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -64,12 +65,16 @@ class ShotRecord:
 
 
 def sample_outcomes(p, shots: int, seed: int) -> ShotRecord:
-    """Multinomial draw from an outcome distribution, deterministic in seed."""
+    """Multinomial draw from an outcome distribution, deterministic in seed.
+    Chunks of SAMPLE_CHUNK draws walk one counter stream, so the counts do
+    not depend on the chunk size and memory does not grow with shots."""
     if shots < 1:
         raise ValueError(f"shot count {shots} must be at least 1")
     p = probability_vector(p)
     edges = np.cumsum(p)
-    draws = uniform_stream(seed, shots)
-    idx = np.minimum(np.searchsorted(edges, draws, side="right"), p.size - 1)
-    counts = np.bincount(idx, minlength=p.size)
+    counts = np.zeros(p.size, dtype=np.int64)
+    for offset in range(0, shots, SAMPLE_CHUNK):
+        draws = uniform_stream(seed, min(SAMPLE_CHUNK, shots - offset), offset)
+        idx = np.minimum(np.searchsorted(edges, draws, side="right"), p.size - 1)
+        counts += np.bincount(idx, minlength=p.size)
     return ShotRecord(tuple(int(c) for c in counts), shots, seed)

@@ -147,3 +147,37 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--which", "7"])
         assert exc.value.code == 2
+
+
+SWEEP = dict(BASE, sweep={"variable": "p", "start": 0.0, "stop": 0.2, "steps": 3})
+BAD_CONFIGS = {
+    "sweep-depolarizing-d1": ("sweep", dict(SWEEP, channel={"type": "depolarizing", "d": 1, "p": 0.1})),
+    "certify-erasure-d1": ("certify", dict(BASE, channel={"type": "erasure", "d": 1, "p": 0.1})),
+    "certify-empty-povm": ("certify", dict(BASE, povm={"type": "custom", "elements": []})),
+    "sweep-shots-text": ("sweep", dict(SWEEP, shots="x")),
+    "certify-shots-text": ("certify", dict(BASE, shots="x")),
+    "sample-shots-text": ("sample", dict(BASE, shots="x")),
+    "sample-seed-fraction": ("sample", dict(BASE, shots=10, seed=1.5)),
+    "sweep-steps-fraction": ("sweep", dict(SWEEP, sweep=dict(SWEEP["sweep"], steps=2.5))),
+    "certify-d-bool": ("certify", dict(BASE, channel={"type": "depolarizing", "d": True, "p": 0.1})),
+    "certify-d-fraction": ("certify", dict(BASE, probe={"type": "max_entangled", "d": 2.7})),
+    "certify-dim-in-text": (
+        "certify",
+        dict(BASE, channel={"type": "kraus", "dim_in": "2", "dim_out": 2, "kraus": [[[1, 0], [0, 1]]]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_invalid_config_exits_2_without_traceback(name, tmp_path, capsys):
+    command, doc = BAD_CONFIGS[name]
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_integral_float_counts_as_integer(tmp_path, capsys):
+    doc = dict(BASE, shots=1000.0, channel={"type": "depolarizing", "d": 2.0, "p": 0.05})
+    assert main(["sample", "--config", write_config(tmp_path, doc)]) == 0
+    counts = [int(line.split(",")[2]) for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert sum(counts) == 1000

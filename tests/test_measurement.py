@@ -57,19 +57,15 @@ class TestBellPovm:
             total = sum(bell_povm(d).elements)
             assert np.max(np.abs(total - np.eye(d * d))) < 1e-10
 
-    def test_local_expansion_identity_d3(self):
-        # direct sum over products of Weyl operators and their conjugates
-        d = 3
-        povm = bell_povm(d)
-        for m in range(d):
-            for n in range(d):
-                local = np.zeros((d * d, d * d), dtype=complex)
-                for p in range(d):
-                    for q in range(d):
-                        u = weyl_unitary(d, p, q)
-                        local += np.exp(2j * np.pi * (n * p - m * q) / d) * np.kron(u, u.conj())
-                local /= d**2
-                assert np.max(np.abs(local - povm.elements[m * d + n])) < 1e-10
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_local_expansion_identity(self, d):
+        # Pi_mn = d^-2 sum_pq exp(2 pi i (n p - m q) / d) U_pq x conj(U_pq),
+        # with (m, n) and (p, q) both enumerated in bell_povm order
+        m, n = np.repeat(np.arange(d), d), np.tile(np.arange(d), d)
+        products = np.array([np.kron(u, u.conj()) for u in (weyl_unitary(d, a, b) for a, b in zip(m, n))])
+        phases = np.exp(2j * np.pi * (np.outer(n, m) - np.outer(m, n)) / d)
+        local = np.tensordot(phases, products, axes=1) / d**2
+        assert np.max(np.abs(local - np.array(bell_povm(d).elements))) < 1e-10
 
 
 class TestErasurePovm:

@@ -1,7 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qcapdet.sampling import ShotRecord, derive_subseed, sample_outcomes, uniform_stream
+from qcapdet.sampling import (
+    SAMPLE_CHUNK,
+    ShotRecord,
+    derive_subseed,
+    sample_outcomes,
+    uniform_stream,
+)
+
+
+def unchunked_counts(p, shots, seed):
+    """Counts from one draw of the whole stream, the unchunked reference."""
+    edges = np.cumsum(p)
+    idx = np.minimum(np.searchsorted(edges, uniform_stream(seed, shots), side="right"), len(p) - 1)
+    return tuple(int(c) for c in np.bincount(idx, minlength=len(p)))
 
 
 class TestUniformStream:
@@ -57,6 +72,22 @@ class TestSampleOutcomes:
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
             sample_outcomes([0.5, 0.5], 0, 1)
+
+    @pytest.mark.parametrize("shots", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 12345])
+    def test_chunked_counts_equal_unchunked_reference(self, shots):
+        p = np.array([0.1, 0.25, 0.05, 0.6])
+        assert sample_outcomes(p, shots, 2024).counts == unchunked_counts(p, shots, 2024)
+
+    def test_peak_memory_bounded_in_shots(self):
+        p = np.full(16, 1.0 / 16)
+        tracemalloc.start()
+        try:
+            record = sample_outcomes(p, 4 * 10**6, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.shots == 4 * 10**6
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_record_invariant(self):
         with pytest.raises(Exception):
