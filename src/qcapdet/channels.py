@@ -101,14 +101,15 @@ def erasure_channel(d: int, p: float) -> QuantumChannel:
 
 
 def apply_kraus(ch: QuantumChannel, state: np.ndarray, dim_ref: int) -> np.ndarray:
-    """Unchecked (I_ref x E)(state): one batched product over the stacked
-    Kraus operators, no I_ref x K formed.  With dim_ref = 1 this is E(state)."""
-    kraus = np.stack(ch.kraus)  # (n, dim_out, dim_in)
-    n, dim_out, dim_in = kraus.shape
-    left = kraus[:, None] @ state.reshape(dim_ref, dim_in, dim_ref * dim_in)[None]
-    left = left.reshape(n, dim_ref * dim_out, dim_ref, dim_in)
-    out = left @ kraus.conj().transpose(0, 2, 1)[:, None]
-    return out.reshape(n, dim_ref * dim_out, dim_ref * dim_out).sum(axis=0)
+    """Unchecked (I_ref x E)(state) through the transfer matrix
+    sum_k K x conj(K), with no I_ref x K formed.  With dim_ref = 1 this is E(state)."""
+    kraus = np.stack(ch.kraus, axis=-1)  # (dim_out, dim_in, n)
+    o, i, n = kraus.shape
+    flat = kraus.reshape(o * i, n)
+    transfer = (flat @ flat.conj().T).reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
+    pairs = state.reshape(dim_ref, i, dim_ref, i).transpose(1, 3, 0, 2).reshape(i * i, dim_ref**2)
+    out = (transfer @ pairs).reshape(o, o, dim_ref, dim_ref).transpose(2, 0, 3, 1)
+    return out.reshape(dim_ref * o, dim_ref * o)
 
 
 def apply_channel(ch: QuantumChannel, rho) -> np.ndarray:

@@ -38,14 +38,15 @@ class Povm:
     """Finite list of positive operators summing to the identity."""
 
     dim: int
-    elements: tuple[np.ndarray, ...]
+    elements: tuple[np.ndarray, ...]  # or one (n, dim, dim) array, used without a copy
     labels: tuple[str, ...] = field(default=(), compare=False)
     name: str = field(default="povm", compare=False)
-    # Row i is Pi_i^T flattened, so matrix @ X.reshape(-1) gives Tr[X Pi_i].
+    # Row i is Pi_i flattened, so matrix @ X.T.reshape(-1) gives Tr[X Pi_i];
+    # the elements are views into the same array.
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.elements:
+        if len(self.elements) == 0:
             raise InvalidStateError("POVM needs at least one element")
         ops = tuple(as_complex_matrix(e) for e in self.elements)
         for e in ops:
@@ -61,16 +62,17 @@ class Povm:
         labels = self.labels or tuple(f"outcome_{i}" for i in range(len(ops)))
         if len(labels) != len(ops):
             raise DimensionMismatchError("label count differs from element count")
-        object.__setattr__(self, "elements", ops)
+        stack = np.asarray(self.elements, dtype=complex)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "matrix", np.stack(ops).transpose(0, 2, 1).reshape(len(ops), -1))
+        object.__setattr__(self, "matrix", stack.reshape(len(ops), -1))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def probabilities(self, state: np.ndarray) -> np.ndarray:
         """Outcome distribution Tr[state Pi_i], checked as a probability vector."""
-        return probability_vector((self.matrix @ state.reshape(-1)).real)
+        return probability_vector((self.matrix @ state.T.reshape(-1)).real)
 
 
 def _bell_projectors(d: int) -> np.ndarray:
@@ -85,7 +87,7 @@ def bell_povm(d: int) -> Povm:
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
     labels = tuple(f"bell_{m}_{n}" for m in range(d) for n in range(d))
-    return Povm(d * d, tuple(_bell_projectors(d)), labels, name=f"bell(d={d})")
+    return Povm(d * d, _bell_projectors(d), labels, name=f"bell(d={d})")
 
 
 def erasure_povm(d: int) -> Povm:
@@ -158,7 +160,7 @@ def outcome_weights(probe: BipartiteProbeState, povm: Povm, rho_t_pinv, rank: in
         a * (op @ rho_t_pinv @ op.conj().T)
         for a, op in zip(probe.weights, probe.operators)
     )
-    t = (povm.matrix @ np.kron(left, np.eye(dim_out)).reshape(-1)).real
+    t = (povm.matrix @ np.kron(left.T, np.eye(dim_out)).reshape(-1)).real
     t = np.where((t < 0.0) & (t > -PSD_TOL), 0.0, t)
     expected = dim_out * rank
     if abs(t.sum() - expected) > 1e-8:

@@ -117,6 +117,26 @@ class TestChecksStillFire:
         with pytest.raises(InvalidStateError):
             Detector(max_entangled_probe(2), bell_povm(2)).certify(ch)
 
+    @pytest.mark.parametrize("corrupted", ["probe output", "purified output"])
+    def test_each_joint_output_is_checked(self, corrupted, monkeypatch):
+        # A real antisymmetric part breaks Hermiticity but leaves every
+        # Tr[out Pi_i].real unchanged, so only the output check can see it.
+        real = certify_module.apply_kraus
+        seen = []
+
+        def corrupting(ch, state, dim_ref):
+            out = real(ch, state, dim_ref)
+            seen.append(state is detector.probe.sigma)
+            if seen[-1] == (corrupted == "probe output"):
+                out = out + 1e-3 * (np.eye(len(out), k=1) - np.eye(len(out), k=-1))
+            return out
+
+        detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        monkeypatch.setattr(certify_module, "apply_kraus", corrupting)
+        with pytest.raises(InvalidStateError):
+            detector.certify(depolarizing_channel(2, 0.1))
+        assert seen[-1] == (corrupted == "probe output")  # raised at the corrupted output
+
     def test_povm_channel_dimension_mismatch(self, tmp_path, capsys):
         detector = Detector(max_entangled_probe(2), bell_povm(2))
         with pytest.raises(DimensionMismatchError):
