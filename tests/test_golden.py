@@ -20,6 +20,8 @@ GOLDEN_TOL = 1e-10
 
 CASES = {
     "certify_depolarizing_hashing": ["certify", "--config", "configs/depolarizing_hashing.json"],
+    "certify_optimize_split5": ["certify", "--config", "configs/optimize_split5.json"],
+    "certify_optimize_split7": ["certify", "--config", "configs/optimize_split7.json"],
     "sample_depolarizing_hashing": ["sample", "--config", "configs/depolarizing_hashing.json"],
     "sweep_erasure": ["sweep", "--config", "configs/erasure_sweep.json"],
     "figure_1": ["figure", "--which", "1"],
