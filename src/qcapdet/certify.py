@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .probes import BipartiteProbeState, reduced_system_state
 
 CHAIN_TOL = 1e-9
 EXHAUSTIVE_GROUPING_LIMIT = 6  # enumerate all partitions up to this many outcomes
+GROUPING_TOL = 1e-12  # a grouping step must gain more than this; near-ties go to the first candidate
 
 
 @dataclass(frozen=True)
@@ -105,41 +107,40 @@ def qdet_from_statistics(p, t, output_entropy: float) -> float:
     return output_entropy - shannon_entropy(p) - math.log2(tp)
 
 
-def _best_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
-    """Search coarse-grainings for the largest detected bound.
+@lru_cache(maxsize=None)
+def _membership(n: int) -> tuple[tuple, np.ndarray]:
+    """Partitions of range(n) in iter_partitions order; m[k, g, i] = 1 if i is in group g of partition k."""
+    parts = tuple(iter_partitions(n))
+    padded = (part + ((),) * (n - len(part)) for part in parts)
+    return parts, np.array([[[i in g for i in range(n)] for g in part] for part in padded], dtype=float)
 
-    Exhaustive over all set partitions for small POVMs, greedy pairwise
-    merging otherwise.  The trivial partition is always a candidate, so the
-    optimized bound can never fall below the raw one.
-    """
-    n = p.size
-    singletons = tuple((i,) for i in range(n))
-    best = (qdet_from_statistics(p, t, output_entropy), singletons)
-    if n <= EXHAUSTIVE_GROUPING_LIMIT:
-        for groups in iter_partitions(n):
-            pm, tm = coarse_grain(p, t, groups)
-            val = qdet_from_statistics(pm, tm, output_entropy)
-            if val > best[0]:
-                best = (val, groups)
-        return best
-    groups = [list(g) for g in singletons]
-    while len(groups) > 1:
-        gain = None
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                trial = [g for k, g in enumerate(groups) if k not in (a, b)]
-                trial.append(groups[a] + groups[b])
-                pm, tm = coarse_grain(p, t, trial)
-                val = qdet_from_statistics(pm, tm, output_entropy)
-                if val > best[0] and (gain is None or val > gain[0]):
-                    gain = (val, a, b)
-        if gain is None:
-            break
-        val, a, b = gain
-        merged = groups[a] + groups[b]
-        groups = [g for k, g in enumerate(groups) if k not in (a, b)] + [merged]
-        best = (val, tuple(tuple(g) for g in groups))
-    return best
+
+def _best_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
+    """Largest detected bound over coarse-grainings: all set partitions for
+    small POVMs, greedy pairwise merging beyond, each step scoring all its
+    candidates in one pass.  The bound and the merged p, t returned for the
+    chosen grouping (possibly the trivial one) are computed exactly."""
+    xlogx = lambda x: x * np.log2(np.where(x > 0.0, x, 1.0))
+    pick = lambda g: int(np.argmax(g >= g.max() - GROUPING_TOL)) if g.max() > GROUPING_TOL else None
+    if p.size <= EXHAUSTIVE_GROUPING_LIMIT:
+        parts, m = _membership(p.size)
+        pm, tm = m @ p, m @ t
+        score = xlogx(pm).sum(axis=1) - np.log2((tm * pm).sum(axis=1))  # -H(p') - log2(t' . p')
+        grouping = parts[pick(score - score[0]) or 0]
+    else:
+        groups, pm, tm = [(i,) for i in range(p.size)], p, t
+        while len(groups) > 1:
+            a, b = np.triu_indices(len(groups), 1)  # merge candidates in double-loop order
+            cross = tm[a] * pm[b] + tm[b] * pm[a]  # t' . p' - t . p; the gain is H - H' - log2(t' . p' / t . p)
+            gain = xlogx(pm[a] + pm[b]) - xlogx(pm[a]) - xlogx(pm[b]) - np.log2(1.0 + cross / (tm @ pm))
+            if (k := pick(gain)) is None:
+                break
+            a, b = a[k], b[k]
+            groups = [g for j, g in enumerate(groups) if j not in (a, b)] + [groups[a] + groups[b]]
+            pm, tm = (np.append(np.delete(x, (a, b)), x[a] + x[b]) for x in (pm, tm))
+        grouping = tuple(groups)
+    pm, tm = coarse_grain(p, t, grouping)
+    return qdet_from_statistics(pm, tm, output_entropy), grouping, pm, tm
 
 
 class Detector:
@@ -176,8 +177,7 @@ class Detector:
         joint = validate_density_matrix(apply_kraus(ch, self.probe.sigma, d))
         p = self.povm.probabilities(joint)
         if optimize:
-            qdet, grouping = _best_grouping(p, self.t, output_entropy)
-            pm, tm = coarse_grain(p, self.t, grouping)
+            qdet, grouping, pm, tm = _best_grouping(p, self.t, output_entropy)
         else:
             grouping = tuple((i,) for i in range(p.size))
             qdet = qdet_from_statistics(p, self.t, output_entropy)
