@@ -19,6 +19,7 @@ from .harness import (
     build_probe,
     parse_sweep,
     read_int,
+    read_section,
     run_point,
     run_sweep,
     figure_rows,
@@ -68,9 +69,9 @@ def _grouping_text(grouping) -> str:
 def _load_point(args):
     """The config document, its probe, channel and POVM, shot count and seed."""
     doc = _apply_overrides(_load_config(args.config), args)
-    probe = build_probe(doc.get("probe", {}) or _missing("probe"))
-    channel = build_channel(doc.get("channel", {}) or _missing("channel"))
-    povm = build_povm(doc.get("povm", {}) or _missing("povm"), probe.d)
+    probe = build_probe(read_section(doc, "probe"))
+    channel = build_channel(read_section(doc, "channel"))
+    povm = build_povm(read_section(doc, "povm"), probe.d)
     shots = read_int(doc, "shots", "config", default=0)
     return doc, probe, channel, povm, shots, read_int(doc, "seed", "config", default=0)
 
@@ -115,10 +116,6 @@ def _cmd_certify(args) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-def _missing(section: str):
-    raise ConfigError(f"config is missing the {section!r} section")
 
 
 def _cmd_sweep(args) -> int:

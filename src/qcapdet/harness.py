@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,15 +77,32 @@ def read_int(spec: dict, key: str, kind: str, default: int | None = None) -> int
     return value
 
 
+def read_float(spec: dict, key: str, kind: str) -> float:
+    """Finite real field of a config section; text, booleans and non-finite
+    values are rejected."""
+    value = _require(spec, key, kind)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{kind} field {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def read_section(doc: dict, key: str) -> dict:
+    """A top-level config section, which must be a JSON object."""
+    section = _require(doc, key, "config")
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {key!r} must be a JSON object, got {section!r}")
+    return section
+
+
 def build_channel(spec: dict) -> QuantumChannel:
     kind = _require(spec, "type", "channel")
     try:
         if kind == "pauli":
             return pauli_channel(np.asarray(_require(spec, "probs", "channel"), dtype=float))
         if kind == "depolarizing":
-            return depolarizing_channel(read_int(spec, "d", "channel"), float(_require(spec, "p", "channel")))
+            return depolarizing_channel(read_int(spec, "d", "channel"), read_float(spec, "p", "channel"))
         if kind == "erasure":
-            return erasure_channel(read_int(spec, "d", "channel"), float(_require(spec, "p", "channel")))
+            return erasure_channel(read_int(spec, "d", "channel"), read_float(spec, "p", "channel"))
         if kind == "kraus":
             ops = [matrix_from_json(k) for k in _require(spec, "kraus", "channel")]
             return QuantumChannel(
@@ -104,12 +122,12 @@ def build_probe(spec: dict) -> BipartiteProbeState:
         if kind == "max_entangled":
             return max_entangled_probe(read_int(spec, "d", "probe"))
         if kind == "isotropic":
-            return isotropic_probe(read_int(spec, "d", "probe"), float(_require(spec, "F", "probe")))
+            return isotropic_probe(read_int(spec, "d", "probe"), read_float(spec, "F", "probe"))
         if kind == "bell_diagonal":
             return bell_diagonal_probe(np.asarray(_require(spec, "q", "probe"), dtype=float))
         if kind == "custom":
             terms = _require(spec, "terms", "probe")
-            weights = [float(_require(t, "weight", "probe term")) for t in terms]
+            weights = [read_float(t, "weight", "probe term") for t in terms]
             ops = [matrix_from_json(_require(t, "op", "probe term")) for t in terms]
             return custom_probe(weights, ops)
     except (CertificationError, TypeError, ValueError) as exc:
@@ -162,14 +180,14 @@ class SweepSpec:
 
 
 def parse_sweep(doc: dict) -> SweepSpec:
-    sweep = _require(doc, "sweep", "sweep config")
+    sweep = read_section(doc, "sweep")
     return SweepSpec(
-        channel=_require(doc, "channel", "config"),
-        probe=_require(doc, "probe", "config"),
-        povm=_require(doc, "povm", "config"),
+        channel=read_section(doc, "channel"),
+        probe=read_section(doc, "probe"),
+        povm=read_section(doc, "povm"),
         variable=_require(sweep, "variable", "sweep"),
-        start=float(_require(sweep, "start", "sweep")),
-        stop=float(_require(sweep, "stop", "sweep")),
+        start=read_float(sweep, "start", "sweep"),
+        stop=read_float(sweep, "stop", "sweep"),
         steps=read_int(sweep, "steps", "sweep"),
         shots=read_int(doc, "shots", "config", default=0),
         seed=read_int(doc, "seed", "config", default=0),
@@ -253,8 +271,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         )
         row: dict = {spec.variable: float(value), "qdet": result.qdet}
         family = _closed_form_family(channel_spec, probe_spec, spec.povm)
-        fidelity = float(probe_spec.get("F", 1.0))
-        noise = float(channel_spec.get("p", 0.0))
+        fidelity = float(probe_spec["F"]) if probe_spec["type"] == "isotropic" else 1.0
+        noise = float(channel_spec["p"]) if channel_spec["type"] in ("depolarizing", "erasure") else 0.0
         if family == "depolarizing":
             row["qdet_closed"] = depolarizing_isotropic_qdet(d, noise, fidelity)
         elif family == "erasure":

@@ -165,6 +165,20 @@ BAD_CONFIGS = {
         "certify",
         dict(BASE, channel={"type": "kraus", "dim_in": "2", "dim_out": 2, "kraus": [[[1, 0], [0, 1]]]}),
     ),
+    "sweep-start-text": ("sweep", dict(SWEEP, sweep=dict(SWEEP["sweep"], start="x"))),
+    "sweep-stop-nan": ("sweep", dict(SWEEP, sweep=dict(SWEEP["sweep"], stop=float("nan")))),
+    "sweep-not-object": ("sweep", dict(SWEEP, sweep=5)),
+    "sweep-channel-not-object": ("sweep", dict(SWEEP, channel=[1, 2])),
+    "certify-probe-not-object": ("certify", dict(BASE, probe=5)),
+    "certify-povm-not-object": ("certify", dict(BASE, povm="bell")),
+    "certify-p-text": ("certify", dict(BASE, channel={"type": "depolarizing", "d": 2, "p": "0.1"})),
+    "certify-p-bool": ("certify", dict(BASE, channel={"type": "erasure", "d": 2, "p": False})),
+    "certify-p-infinite": ("certify", dict(BASE, channel={"type": "depolarizing", "d": 2, "p": float("inf")})),
+    "certify-F-text": ("certify", dict(BASE, probe={"type": "isotropic", "d": 2, "F": "0.9"})),
+    "certify-weight-text": (
+        "certify",
+        dict(BASE, probe={"type": "custom", "terms": [{"weight": "0.5", "op": [[1, 0], [0, 1]]}]}),
+    ),
 }
 
 
@@ -181,3 +195,15 @@ def test_integral_float_counts_as_integer(tmp_path, capsys):
     assert main(["sample", "--config", write_config(tmp_path, doc)]) == 0
     counts = [int(line.split(",")[2]) for line in capsys.readouterr().out.strip().split("\n")[1:]]
     assert sum(counts) == 1000
+
+
+def test_fields_a_config_does_not_use_are_ignored(tmp_path, capsys):
+    doc = dict(
+        BASE,
+        channel={"type": "pauli", "probs": [[0.9, 0.05], [0.03, 0.02]], "p": "x"},
+        probe={"type": "isotropic", "d": 2, "F": 0.9},
+        sweep={"variable": "F", "start": 0.8, "stop": 0.9, "steps": 3},
+    )
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+    doc = dict(SWEEP, probe={"type": "max_entangled", "d": 2, "F": "x"})
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
