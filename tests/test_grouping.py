@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from randinst import random_channel, random_povm, random_probe
 
-from qcapdet import Detector, Povm, bell_povm, depolarizing_channel, erasure_channel, erasure_povm
+from qcapdet import (
+    Detector,
+    Povm,
+    bell_povm,
+    depolarizing_channel,
+    erasure_channel,
+    erasure_povm,
+    isotropic_probe,
+)
 from qcapdet.certify import (
     EXHAUSTIVE_GROUPING_LIMIT,
     GROUPING_TOL,
@@ -14,11 +22,11 @@ from qcapdet.certify import (
     iter_partitions,
     qdet_from_statistics,
 )
-from qcapdet.probes import isotropic_probe
 
 
 def reference_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
-    """The search as it was: one coarse_grain and qdet_from_statistics call per candidate."""
+    """Per-candidate search, one coarse_grain and qdet_from_statistics call
+    each: the implementation the vectorized search replaced."""
     n = p.size
     singletons = tuple((i,) for i in range(n))
     best = (qdet_from_statistics(p, t, output_entropy), singletons)
