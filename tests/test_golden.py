@@ -22,6 +22,9 @@ CASES = {
     "certify_depolarizing_hashing": ["certify", "--config", "configs/depolarizing_hashing.json"],
     "certify_optimize_split5": ["certify", "--config", "configs/optimize_split5.json"],
     "certify_optimize_split7": ["certify", "--config", "configs/optimize_split7.json"],
+    "certify_kraus_custom_probe": ["certify", "--config", "configs/kraus_custom_probe.json"],
+    "sample_bell_diagonal_sample": ["sample", "--config", "configs/bell_diagonal_sample.json"],
+    "sweep_depolarizing_F_sweep": ["sweep", "--config", "configs/depolarizing_F_sweep.json"],
     "sample_depolarizing_hashing": ["sample", "--config", "configs/depolarizing_hashing.json"],
     "sweep_erasure": ["sweep", "--config", "configs/erasure_sweep.json"],
     "figure_1": ["figure", "--which", "1"],
