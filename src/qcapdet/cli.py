@@ -17,9 +17,10 @@ from .harness import (
     build_channel,
     build_povm,
     build_probe,
+    json_object,
     parse_sweep,
-    read_int,
-    read_section,
+    read,
+    read_run,
     run_point,
     run_sweep,
     figure_rows,
@@ -32,17 +33,17 @@ from .harness import (
 REFERENCE_THRESHOLDS = {"erasure": 0.811, "depolarizing": 0.818}
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    """The document at --config, with --seed and --shots, where given, in place of its own values."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    return doc
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, or nested too deeply
+        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    overrides = {key: getattr(args, key, None) for key in ("seed", "shots")}
+    return {**json_object(doc, "config document"), **{k: v for k, v in overrides.items() if v is not None}}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -53,34 +54,22 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _apply_overrides(doc: dict, args) -> dict:
-    doc = dict(doc)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "shots", None) is not None:
-        doc["shots"] = args.shots
-    return doc
-
-
 def _grouping_text(grouping) -> str:
     return ";".join("+".join(str(i) for i in group) for group in grouping)
 
 
 def _load_point(args):
-    """The config document, its probe, channel and POVM, shot count and seed."""
-    doc = _apply_overrides(_load_config(args.config), args)
-    probe = build_probe(read_section(doc, "probe"))
-    channel = build_channel(read_section(doc, "channel"))
-    povm = build_povm(read_section(doc, "povm"), probe.d)
-    shots = read_int(doc, "shots", "config", default=0)
-    return doc, probe, channel, povm, shots, read_int(doc, "seed", "config", default=0)
+    """The probe, channel and POVM of the config document, and its run settings."""
+    doc = _load_config(args)
+    probe = build_probe(read(doc, "probe", json_object))
+    channel = build_channel(read(doc, "channel", json_object))
+    povm = build_povm(read(doc, "povm", json_object), probe.d)
+    return probe, channel, povm, read_run(doc)
 
 
 def _cmd_certify(args) -> int:
-    doc, probe, channel, povm, shots, seed = _load_point(args)
-    result, estimate, _ = run_point(
-        probe, channel, povm, optimize=bool(doc.get("optimize", False)), shots=shots, seed=seed
-    )
+    probe, channel, povm, run = _load_point(args)
+    result, estimate, _ = run_point(probe, channel, povm, **run)
     row = {
         "probe": result.probe_label,
         "channel": result.channel_label,
@@ -93,8 +82,8 @@ def _cmd_certify(args) -> int:
         "private_lower": result.private_lower,
         "ea_classical_lower": result.ea_classical_lower,
         "grouping": _grouping_text(result.grouping),
-        "shots": shots,
-        "seed": seed,
+        "shots": run["shots"],
+        "seed": run["seed"],
     }
     if estimate is not None:
         row["qdet_estimate"] = estimate
@@ -109,7 +98,7 @@ def _cmd_certify(args) -> int:
         file=sys.stderr,
     )
     if estimate is not None:
-        print(f"finite-shot estimate ({shots} shots): {estimate:.6f} bits", file=sys.stderr)
+        print(f"finite-shot estimate ({run['shots']} shots): {estimate:.6f} bits", file=sys.stderr)
     print(
         f"private info >= {result.private_lower:.6f}, "
         f"entanglement-assisted classical >= {result.ea_classical_lower:.6f}",
@@ -119,7 +108,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _apply_overrides(_load_config(args.config), args)
+    doc = _load_config(args)
     spec = parse_sweep(doc)
     rows = run_sweep(spec)
     _emit(write_csv(rows), args.out)
@@ -159,7 +148,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _, probe, channel, povm, shots, seed = _load_point(args)
+    probe, channel, povm, run = _load_point(args)
+    shots, seed = run["shots"], run["seed"]
     if shots < 1:
         raise ConfigError("sample requires shots >= 1 (set 'shots' or pass --shots)")
     result, estimate, record = run_point(probe, channel, povm, shots=shots, seed=seed)

@@ -43,114 +43,152 @@ from .probes import (
 from .sampling import ShotRecord, derive_subseed, sample_outcomes
 
 
-def matrix_from_json(data) -> np.ndarray:
-    """Parse a matrix whose entries are numbers or [re, im] pairs."""
+MAX_DIM = 16  # largest `d` a config may ask for; linalg's tolerances hold below ~16
+MAX_STEPS = 10**6  # largest sweep grid
+
+
+def _reader(accepts, expected: str, convert=lambda value: value):
+    """Field reader: checks one JSON value, named by its path in the config
+    document, and returns it in the form the constructors take."""
+
+    def reader(value, where: str):
+        if not accepts(value):
+            raise ConfigError(f"{where} must be {expected}, got {value!r}")
+        return convert(value)
+
+    return reader
+
+
+def _number(value) -> bool:
+    """A JSON number; booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integral(value) -> bool:
+    return _number(value) and (isinstance(value, int) or value.is_integer())
+
+
+integer = _reader(_integral, "an integer", int)  # 2.0 reads as 2
+count = _reader(lambda v: _integral(v) and v >= 0, "a nonnegative integer", int)
+dimension = _reader(lambda v: _integral(v) and v <= MAX_DIM, f"an integer of at most {MAX_DIM}", int)
+# NaN, infinities and integers beyond the float range are not finite numbers.
+real = _reader(lambda v: _number(v) and abs(v) <= sys.float_info.max, "a finite number", float)
+boolean = _reader(lambda v: isinstance(v, bool), "true or false")
+text = _reader(lambda v: isinstance(v, str), "text")
+json_object = _reader(lambda v: isinstance(v, dict), "a JSON object")
+
+
+def listed(reader, allow_empty: bool = False):
+    """Reader of a JSON list whose items are each checked by ``reader``."""
+
+    def read_list(value, where: str) -> tuple:
+        if not isinstance(value, list) or not (value or allow_empty):
+            raise ConfigError(f"{where} must be a {'list' if allow_empty else 'non-empty list'}, got {value!r}")
+        return tuple(reader(item, f"{where}[{i}]") for i, item in enumerate(value))
+
+    return read_list
+
+
+def _entry(value, where: str) -> complex:
+    pair = value if isinstance(value, list) else [value, 0.0]
+    if len(pair) != 2:
+        raise ConfigError(f"{where} must be a number or an [re, im] pair, got {value!r}")
+    return complex(real(pair[0], where), real(pair[1], where))
+
+
+# Grids are lists of rows; the constructors reject rows of unequal length.
+real_grid = listed(listed(real))
+complex_matrix = listed(listed(_entry))  # entries are numbers or [re, im] pairs
+
+
+def _term(value, where: str) -> tuple[float, tuple]:
+    term = json_object(value, where)
+    return read(term, "weight", real, where), read(term, "op", complex_matrix, where)
+
+
+# Spec tables: type -> (constructor, fields).  A field is (name, reader) or
+# (name, reader, default); the constructor takes the fields in this order,
+# and a POVM constructor takes the probe dimension first.
+_CHANNELS = {
+    "pauli": (pauli_channel, [("probs", real_grid)]),
+    "depolarizing": (depolarizing_channel, [("d", dimension), ("p", real)]),
+    "erasure": (erasure_channel, [("d", dimension), ("p", real)]),
+    "kraus": (
+        QuantumChannel,
+        [("dim_in", integer), ("dim_out", integer), ("kraus", listed(complex_matrix)), ("label", text, "kraus")],
+    ),
+}
+_PROBES = {
+    "max_entangled": (max_entangled_probe, [("d", dimension)]),
+    "isotropic": (isotropic_probe, [("d", dimension), ("F", real)]),
+    "bell_diagonal": (bell_diagonal_probe, [("q", real_grid)]),
+    "custom": (lambda terms: custom_probe(*zip(*terms)), [("terms", listed(_term))]),
+}
+_POVMS = {
+    "bell": (bell_povm, []),
+    "erasure_adapted": (erasure_povm, []),
+    "custom": (
+        lambda d, elements, labels: Povm(len(elements[0]), elements, labels, name="custom"),
+        [("elements", listed(complex_matrix)), ("labels", listed(text, allow_empty=True), ())],
+    ),
+}
+# Run settings of a config document, read the same way by every command.
+_RUN = [("shots", count, 0), ("seed", integer, 0), ("optimize", boolean, False)]
+_SWEEP = [("variable", text), ("start", real), ("stop", real), ("steps", integer)]
+# Closed forms of qdet by (channel type, POVM type), for isotropic and max_entangled probes.
+_CLOSED_FORMS = {
+    ("depolarizing", "bell"): depolarizing_isotropic_qdet,
+    ("erasure", "erasure_adapted"): erasure_qdet_closed_form,
+}
+
+
+def read(spec: dict, key: str, reader, where: str = "", default=None):
+    """Field ``key`` of a config section, checked by ``reader``; ``default``
+    stands in for a missing field, and without one a missing field is an error."""
+    path = f"{where}.{key}" if where else key
+    if key in spec:
+        return reader(spec[key], path)
+    if default is None:
+        raise ConfigError(f"{path} is missing")
+    return default
+
+
+def _read_fields(spec: dict, fields, where: str) -> dict:
+    return {name: read(spec, name, reader, where, *default) for name, reader, *default in fields}
+
+
+def read_spec(table: dict, spec: dict, where: str):
+    """The constructor for the type of section ``spec`` and its checked arguments by field name."""
+    kind = read(spec, "type", text, where)
+    if kind not in table:
+        raise ConfigError(f"unknown {where} type {kind!r}; pick one of {', '.join(table)}")
+    make, fields = table[kind]
+    return make, _read_fields(spec, fields, where)
+
+
+def read_run(doc: dict) -> dict:
+    """Shot count (>= 0), seed and the ``optimize`` switch of a config document."""
+    return _read_fields(doc, _RUN, "")
+
+
+def _make(where: str, make, args: dict, *lead):
+    """Call a spec constructor; the values it rejects are config errors."""
     try:
-        rows = []
-        for row in data:
-            parsed = []
-            for entry in row:
-                if isinstance(entry, (int, float)):
-                    parsed.append(complex(entry))
-                else:
-                    re, im = entry
-                    parsed.append(complex(re, im))
-            rows.append(parsed)
-        return np.asarray(rows, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed matrix entry: {exc}") from exc
-
-
-def _require(spec: dict, key: str, kind: str):
-    if key not in spec:
-        raise ConfigError(f"{kind} spec is missing the {key!r} key")
-    return spec[key]
-
-
-def read_int(spec: dict, key: str, kind: str, default: int | None = None) -> int:
-    """Integer field of a config section; booleans and fractions are rejected."""
-    value = spec.get(key, default) if default is not None else _require(spec, key, kind)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{kind} field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def read_float(spec: dict, key: str, kind: str) -> float:
-    """Finite real field of a config section; text, booleans and non-finite
-    values are rejected."""
-    value = _require(spec, key, kind)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{kind} field {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def read_section(doc: dict, key: str) -> dict:
-    """A top-level config section, which must be a JSON object."""
-    section = _require(doc, key, "config")
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {key!r} must be a JSON object, got {section!r}")
-    return section
+        return make(*lead, *args.values())
+    except (CertificationError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {where} spec: {exc}") from exc
 
 
 def build_channel(spec: dict) -> QuantumChannel:
-    kind = _require(spec, "type", "channel")
-    try:
-        if kind == "pauli":
-            return pauli_channel(np.asarray(_require(spec, "probs", "channel"), dtype=float))
-        if kind == "depolarizing":
-            return depolarizing_channel(read_int(spec, "d", "channel"), read_float(spec, "p", "channel"))
-        if kind == "erasure":
-            return erasure_channel(read_int(spec, "d", "channel"), read_float(spec, "p", "channel"))
-        if kind == "kraus":
-            ops = [matrix_from_json(k) for k in _require(spec, "kraus", "channel")]
-            return QuantumChannel(
-                read_int(spec, "dim_in", "channel"),
-                read_int(spec, "dim_out", "channel"),
-                tuple(ops),
-                label=spec.get("label", "kraus"),
-            )
-    except (CertificationError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid channel spec: {exc}") from exc
-    raise ConfigError(f"unknown channel type {kind!r}")
+    return _make("channel", *read_spec(_CHANNELS, spec, "channel"))
 
 
 def build_probe(spec: dict) -> BipartiteProbeState:
-    kind = _require(spec, "type", "probe")
-    try:
-        if kind == "max_entangled":
-            return max_entangled_probe(read_int(spec, "d", "probe"))
-        if kind == "isotropic":
-            return isotropic_probe(read_int(spec, "d", "probe"), read_float(spec, "F", "probe"))
-        if kind == "bell_diagonal":
-            return bell_diagonal_probe(np.asarray(_require(spec, "q", "probe"), dtype=float))
-        if kind == "custom":
-            terms = _require(spec, "terms", "probe")
-            weights = [read_float(t, "weight", "probe term") for t in terms]
-            ops = [matrix_from_json(_require(t, "op", "probe term")) for t in terms]
-            return custom_probe(weights, ops)
-    except (CertificationError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid probe spec: {exc}") from exc
-    raise ConfigError(f"unknown probe type {kind!r}")
+    return _make("probe", *read_spec(_PROBES, spec, "probe"))
 
 
 def build_povm(spec: dict, d: int) -> Povm:
-    kind = _require(spec, "type", "povm")
-    try:
-        if kind == "bell":
-            return bell_povm(d)
-        if kind == "erasure_adapted":
-            return erasure_povm(d)
-        if kind == "custom":
-            elements = [matrix_from_json(e) for e in _require(spec, "elements", "povm")]
-            if not elements:
-                raise ConfigError("custom povm spec needs at least one element")
-            labels = tuple(spec.get("labels", ()))
-            return Povm(elements[0].shape[0], tuple(elements), labels, name="custom")
-    except (CertificationError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid povm spec: {exc}") from exc
-    raise ConfigError(f"unknown povm type {kind!r}")
+    return _make("povm", *read_spec(_POVMS, spec, "povm"), d)
 
 
 @dataclass(frozen=True)
@@ -171,8 +209,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in ("p", "F"):
             raise ConfigError(f"sweep variable must be 'p' or 'F', got {self.variable!r}")
-        if self.steps < 2:
-            raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ConfigError(f"sweep needs 2 to {MAX_STEPS} steps, got {self.steps}")
         if not self.start < self.stop:
             raise ConfigError(f"sweep start {self.start} must be below stop {self.stop}")
         if self.shots < 0:
@@ -180,43 +218,9 @@ class SweepSpec:
 
 
 def parse_sweep(doc: dict) -> SweepSpec:
-    sweep = read_section(doc, "sweep")
-    return SweepSpec(
-        channel=read_section(doc, "channel"),
-        probe=read_section(doc, "probe"),
-        povm=read_section(doc, "povm"),
-        variable=_require(sweep, "variable", "sweep"),
-        start=read_float(sweep, "start", "sweep"),
-        stop=read_float(sweep, "stop", "sweep"),
-        steps=read_int(sweep, "steps", "sweep"),
-        shots=read_int(doc, "shots", "config", default=0),
-        seed=read_int(doc, "seed", "config", default=0),
-        optimize=bool(doc.get("optimize", False)),
-    )
-
-
-def _substitute(spec: SweepSpec, value: float) -> tuple[dict, dict]:
-    channel = dict(spec.channel)
-    probe = dict(spec.probe)
-    if spec.variable == "p":
-        if channel.get("type") not in ("depolarizing", "erasure"):
-            raise ConfigError("sweeping 'p' needs a depolarizing or erasure channel")
-        channel["p"] = value
-    else:
-        if probe.get("type") != "isotropic":
-            raise ConfigError("sweeping 'F' needs an isotropic probe")
-        probe["F"] = value
-    return channel, probe
-
-
-def _closed_form_family(channel: dict, probe: dict, povm: dict) -> str | None:
-    """Name of the applicable closed form, if any."""
-    probe_ok = probe.get("type") in ("isotropic", "max_entangled")
-    if channel.get("type") == "depolarizing" and probe_ok and povm.get("type") == "bell":
-        return "depolarizing"
-    if channel.get("type") == "erasure" and probe_ok and povm.get("type") == "erasure_adapted":
-        return "erasure"
-    return None
+    sections = {key: read(doc, key, json_object) for key in ("channel", "probe", "povm")}
+    sweep = _read_fields(read(doc, "sweep", json_object), _SWEEP, "sweep")
+    return SweepSpec(**sections, **sweep, **read_run(doc))
 
 
 def estimate_qdet(record: ShotRecord, t, output_entropy: float) -> float:
@@ -253,31 +257,36 @@ def _evaluate(detector: Detector, channel: QuantumChannel, optimize: bool, shots
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One certification row per grid point, in grid order.  A 'p' sweep
-    keeps one detector; an 'F' sweep keeps one channel."""
+    keeps one detector; an 'F' sweep keeps one channel.  The swept field
+    needs no value in the config; it must be a field of the section's type."""
     rows = []
     grid = np.linspace(spec.start, spec.stop, spec.steps)
+    make_channel, channel_args = read_spec(_CHANNELS, {**spec.channel, spec.variable: spec.start}, "channel")
+    make_probe, probe_args = read_spec(_PROBES, {**spec.probe, spec.variable: spec.start}, "probe")
+    make_povm, povm_args = read_spec(_POVMS, spec.povm, "povm")
+    section, swept_args = ("channel", channel_args) if spec.variable == "p" else ("probe", probe_args)
+    if spec.variable not in swept_args:
+        raise ConfigError(f"sweeping {spec.variable!r} needs a {section} type with a {spec.variable!r} field")
+    probe_ok = spec.probe["type"] in ("isotropic", "max_entangled")
+    closed_form = _CLOSED_FORMS.get((spec.channel["type"], spec.povm["type"])) if probe_ok else None
     detector: Detector | None = None
     for i, value in enumerate(grid):
-        channel_spec, probe_spec = _substitute(spec, float(value))
+        swept_args[spec.variable] = float(value)
         if detector is None or spec.variable == "p":
-            channel = build_channel(channel_spec)
+            channel = _make("channel", make_channel, channel_args)
         if detector is None or spec.variable == "F":
-            probe = build_probe(probe_spec)
-            povm = build_povm(spec.povm, probe.d) if detector is None else detector.povm
+            probe = _make("probe", make_probe, probe_args)
+            povm = _make("povm", make_povm, povm_args, probe.d) if detector is None else detector.povm
             detector = Detector(probe, povm)
         d = detector.probe.d
         result, estimate, _ = _evaluate(
             detector, channel, spec.optimize, spec.shots, derive_subseed(spec.seed, i)
         )
         row: dict = {spec.variable: float(value), "qdet": result.qdet}
-        family = _closed_form_family(channel_spec, probe_spec, spec.povm)
-        fidelity = float(probe_spec["F"]) if probe_spec["type"] == "isotropic" else 1.0
-        noise = float(channel_spec["p"]) if channel_spec["type"] in ("depolarizing", "erasure") else 0.0
-        if family == "depolarizing":
-            row["qdet_closed"] = depolarizing_isotropic_qdet(d, noise, fidelity)
-        elif family == "erasure":
-            row["qdet_closed"] = erasure_qdet_closed_form(d, noise, fidelity)
-        if channel_spec.get("type") == "erasure":
+        noise, fidelity = channel_args.get("p", 0.0), probe_args.get("F", 1.0)
+        if closed_form is not None:
+            row["qdet_closed"] = closed_form(d, noise, fidelity)
+        if spec.channel["type"] == "erasure":
             row["q_exact"] = erasure_exact_capacity(d, noise)
         if spec.shots > 0:
             row["qdet_estimate"] = estimate

@@ -179,6 +179,39 @@ BAD_CONFIGS = {
         "certify",
         dict(BASE, probe={"type": "custom", "terms": [{"weight": "0.5", "op": [[1, 0], [0, 1]]}]}),
     ),
+    "certify-optimize-text": ("certify", dict(BASE, optimize="false")),
+    "sweep-optimize-text": ("sweep", dict(SWEEP, optimize="false")),
+    "certify-probs-text": ("certify", dict(BASE, channel={"type": "pauli", "probs": [["0.9", "0.05"], ["0.03", "0.02"]]})),
+    "certify-probs-bool": ("certify", dict(BASE, channel={"type": "pauli", "probs": [[True, 0], [0, 0]]})),
+    "certify-q-text": ("certify", dict(BASE, probe={"type": "bell_diagonal", "q": [["0.7", 0.1], [0.1, 0.1]]})),
+    "certify-q-bool": ("certify", dict(BASE, probe={"type": "bell_diagonal", "q": [[True, 0], [0, 0]]})),
+    "certify-kraus-text": (
+        "certify",
+        dict(BASE, channel={"type": "kraus", "dim_in": 2, "dim_out": 2, "kraus": [[["1", 0], [0, 1]]]}),
+    ),
+    "certify-kraus-bool": (
+        "certify",
+        dict(BASE, channel={"type": "kraus", "dim_in": 2, "dim_out": 2, "kraus": [[[True, 0], [0, True]]]}),
+    ),
+    "certify-kraus-pair-text": (
+        "certify",
+        dict(BASE, channel={"type": "kraus", "dim_in": 2, "dim_out": 2, "kraus": [[[[1, "0"], 0], [0, 1]]]}),
+    ),
+    "certify-shots-negative": ("certify", dict(BASE, shots=-5)),
+    "certify-label-not-text": (
+        "certify",
+        dict(BASE, channel={"type": "kraus", "dim_in": 2, "dim_out": 2, "kraus": [[[1, 0], [0, 1]]], "label": 5}),
+    ),
+    "certify-labels-not-text": (
+        "certify",
+        dict(BASE, povm={"type": "custom", "elements": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "labels": [0, 1]}),
+    ),
+    "certify-channel-type-list": ("certify", dict(BASE, channel={"type": [], "d": 2, "p": 0.1})),
+    "certify-probe-type-list": ("certify", dict(BASE, probe={"type": [], "d": 2})),
+    "sweep-povm-type-list": ("sweep", dict(SWEEP, povm={"type": []})),
+    "certify-isotropic-d-huge": ("certify", dict(BASE, probe={"type": "isotropic", "d": 1000000, "F": 0.9})),
+    "certify-erasure-d-huge": ("certify", dict(BASE, channel={"type": "erasure", "d": 1000000, "p": 0.1})),
+    "sweep-steps-huge": ("sweep", dict(SWEEP, sweep=dict(SWEEP["sweep"], steps=1e308))),
 }
 
 
@@ -186,6 +219,12 @@ BAD_CONFIGS = {
 def test_invalid_config_exits_2_without_traceback(name, tmp_path, capsys):
     command, doc = BAD_CONFIGS[name]
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_negative_shots_option_exits_2(tmp_path, capsys):
+    assert main(["certify", "--config", write_config(tmp_path, BASE), "--shots", "-5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
 
