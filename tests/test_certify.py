@@ -299,3 +299,38 @@ class TestThreshold:
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
             threshold_fidelity("amplitude_damping", 2)
+
+    # Roots written from the grid plus golden-section search over p that the
+    # threshold used before it took the endpoint maximum; never regenerated.
+    # Both families share one root at every d (see README).
+    PINNED = {
+        2: 0.8107097148895264,
+        3: 0.7448111640082467,
+        4: 0.7103303670883179,
+        5: 0.6887060546875,
+        6: 0.673671325047811,
+        7: 0.6624955157844387,
+        8: 0.6537945419549942,
+        9: 0.6467816388165508,
+        10: 0.6409813022613526,
+        11: 0.6360816640302169,
+        12: 0.631872528129154,
+        13: 0.6282077315291004,
+        14: 0.6249786445072719,
+        15: 0.6221055772569446,
+        16: 0.6195273660123348,
+    }
+
+    @pytest.mark.parametrize("family", ["depolarizing", "erasure"])
+    @pytest.mark.parametrize("d", sorted(PINNED))
+    def test_pinned_roots(self, family, d):
+        assert threshold_fidelity(family, d) == self.PINNED[d]
+
+    @pytest.mark.parametrize("closed", [depolarizing_isotropic_qdet, erasure_qdet_closed_form])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_noise_maximum_sits_at_an_endpoint(self, closed, d):
+        # both closed forms are convex in p, so no interior p beats p = 0 or p = 1
+        for fidelity in np.linspace(1.0 / d**2, 1.0, 25):
+            ends = max(closed(d, 0.0, fidelity), closed(d, 1.0, fidelity))
+            grid = max(closed(d, p, fidelity) for p in np.linspace(0.0, 1.0, 401))
+            assert grid <= ends + 1e-12
