@@ -262,47 +262,30 @@ def erasure_exact_capacity(d: int, p: float) -> float:
     return max(0.0, (1.0 - 2.0 * p)) * math.log2(d)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Golden-section maximization of a unimodal scalar function."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d_ = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d_)
-    while b - a > tol:
-        if fc >= fd:
-            b, d_, fd = d_, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + _GOLDEN * (b - a)
-            fd = fn(d_)
-    return max(fc, fd)
-
-
-def _max_over_noise(fn) -> float:
-    """Maximum of fn over p in [0, 1]: coarse grid, then local refinement."""
-    grid = np.linspace(0.0, 1.0, 2001)
-    vals = np.array([fn(p) for p in grid])
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    return max(float(vals[k]), _golden_max(fn, lo, hi))
+# Closed form qdet(d, p, F) of each channel family whose fidelity threshold
+# the CLI reports.
+THRESHOLD_FAMILIES = {
+    "depolarizing": depolarizing_isotropic_qdet,
+    "erasure": erasure_qdet_closed_form,
+}
 
 
 def threshold_fidelity(channel_family: str, d: int) -> float:
     """Largest probe fidelity at which no noise level yields a positive
-    detected bound, located by bisection on the closed forms."""
-    if channel_family == "depolarizing":
-        closed = lambda p, f: depolarizing_isotropic_qdet(d, p, f)
-    elif channel_family == "erasure":
-        closed = lambda p, f: erasure_qdet_closed_form(d, p, f)
-    else:
+    detected bound, located by bisection on the closed forms.
+
+    The maximum over the noise p in [0, 1] is taken at p = 0 or p = 1, because
+    both closed forms are convex in p.  The erasure form is affine in p.  The
+    depolarizing form is log2 d - h(x) - x log2(d^2 - 1) with -h convex and
+    x = p_eff affine in p; for F >= 1/d^2, x stays in [0, 1] over the whole
+    range, so its clip only guards rounding.
+    """
+    if channel_family not in THRESHOLD_FAMILIES:
         raise ValueError(f"unsupported channel family {channel_family!r}")
-    best_at = lambda f: _max_over_noise(lambda p: closed(p, f))
+    if d < 2:
+        raise ValueError(f"dimension {d} must be at least 2")
+    closed = THRESHOLD_FAMILIES[channel_family]
+    best_at = lambda f: max(closed(d, 0.0, f), closed(d, 1.0, f))
     lo, hi = 1.0 / d**2, 1.0
     if best_at(lo) > 0.0:
         raise InternalConsistencyError("detected bound positive even at minimal fidelity")

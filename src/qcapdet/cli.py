@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .certify import threshold_fidelity
+from .certify import THRESHOLD_FAMILIES, threshold_fidelity
 from .errors import CertificationError, ConfigError
 from .harness import (
     build_channel,
@@ -49,9 +49,12 @@ def _load_config(args) -> dict:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _grouping_text(grouping) -> str:
@@ -124,7 +127,10 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    computed = threshold_fidelity(args.family, args.d)
+    try:
+        computed = threshold_fidelity(args.family, args.d)
+    except ValueError as exc:  # --d below 2
+        raise ConfigError(f"--d: {exc}") from exc
     reference = REFERENCE_THRESHOLDS.get(args.family)
     row = {
         "family": args.family,
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("threshold", help="locate the probe-fidelity certification threshold")
-    p.add_argument("--family", choices=("depolarizing", "erasure"), required=True)
+    p.add_argument("--family", choices=tuple(THRESHOLD_FAMILIES), required=True)
     p.add_argument("--d", type=int, default=2, help="system dimension (default 2)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_threshold)

@@ -229,6 +229,23 @@ def test_negative_shots_option_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_threshold_dimension_below_2_exits_2(d, capsys):
+    assert main(["threshold", "--family", "erasure", "--d", d]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["certify", "threshold"])
+def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    args = ["--config", write_config(tmp_path, BASE)] if command == "certify" else ["--family", "erasure"]
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err and "Traceback" not in err
+
+
 def test_integral_float_counts_as_integer(tmp_path, capsys):
     doc = dict(BASE, shots=1000.0, channel={"type": "depolarizing", "d": 2.0, "p": 0.05})
     assert main(["sample", "--config", write_config(tmp_path, doc)]) == 0
