@@ -129,7 +129,7 @@ def _cmd_figure(args) -> int:
 def _cmd_threshold(args) -> int:
     try:
         computed = threshold_fidelity(args.family, args.d)
-    except ValueError as exc:  # --d below 2
+    except (ValueError, OverflowError) as exc:  # --d below 2, or d^2 beyond the float range
         raise ConfigError(f"--d: {exc}") from exc
     reference = REFERENCE_THRESHOLDS.get(args.family)
     row = {

@@ -229,8 +229,8 @@ def test_negative_shots_option_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("d", ["1", "0", "-3"])
-def test_threshold_dimension_below_2_exits_2(d, capsys):
+@pytest.mark.parametrize("d", ["1", "0", "-3", "1" + "0" * 200])
+def test_threshold_dimension_out_of_range_exits_2(d, capsys):
     assert main(["threshold", "--family", "erasure", "--d", d]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
