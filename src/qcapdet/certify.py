@@ -35,7 +35,6 @@ from .linalg import (
     double_ket,
     hermitian_eigen,
     matrix_sqrt,
-    pseudo_inverse,
     shannon_entropy,
     validate_density_matrix,
     von_neumann_entropy,
@@ -297,30 +296,3 @@ def threshold_fidelity(channel_family: str, d: int) -> float:
             hi = mid
     return lo
 
-
-def measurement_diagnostics(
-    probe: BipartiteProbeState, ch: QuantumChannel, povm: Povm
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional-outcome diagnostic.
-
-    Returns (r, t, cond) where cond[i, j] is the outcome-i probability
-    conditioned on the j-th spectral component of the purified channel
-    output, r_i sums cond over components, and t is the outcome weight
-    vector.  Componentwise r <= t, and the spectral mixture of cond
-    reproduces the outcome distribution.
-    """
-    detector = Detector(probe, povm)
-    root_inv = pseudo_inverse(detector.root)
-    joint = apply_extended_channel(ch, detector.purification, probe.d)
-    evals, evecs = hermitian_eigen(joint)
-    keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
-    basis = evecs[:, keep]
-    eye_out = np.eye(ch.dim_out)
-    cond = np.zeros((len(povm), int(keep.sum())))
-    for i, element in enumerate(povm.elements):
-        m = np.zeros_like(element)
-        for a, op in zip(probe.weights, probe.operators):
-            side = np.kron(op @ root_inv, eye_out)
-            m += a * (side.conj().T @ element @ side)
-        cond[i, :] = np.einsum("sj,st,tj->j", basis.conj(), m, basis).real
-    return cond.sum(axis=1), detector.t, cond

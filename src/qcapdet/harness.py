@@ -45,6 +45,7 @@ from .sampling import ShotRecord, derive_subseed, sample_outcomes
 
 MAX_DIM = 16  # largest `d` a config may ask for; linalg's tolerances hold below ~16
 MAX_STEPS = 10**6  # largest sweep grid
+MAX_SHOTS = 10**9  # most draws one command may ask for; 7-15 s of sampling
 
 
 def _reader(accepts, expected: str, convert=lambda value: value):
@@ -69,7 +70,7 @@ def _integral(value) -> bool:
 
 
 integer = _reader(_integral, "an integer", int)  # 2.0 reads as 2
-count = _reader(lambda v: _integral(v) and v >= 0, "a nonnegative integer", int)
+shot_count = _reader(lambda v: _integral(v) and 0 <= v <= MAX_SHOTS, f"an integer from 0 to {MAX_SHOTS}", int)
 dimension = _reader(lambda v: _integral(v) and v <= MAX_DIM, f"an integer of at most {MAX_DIM}", int)
 # NaN, infinities and integers beyond the float range are not finite numbers.
 real = _reader(lambda v: _number(v) and abs(v) <= sys.float_info.max, "a finite number", float)
@@ -133,7 +134,7 @@ _POVMS = {
     ),
 }
 # Run settings of a config document, read the same way by every command.
-_RUN = [("shots", count, 0), ("seed", integer, 0), ("optimize", boolean, False)]
+_RUN = [("shots", shot_count, 0), ("seed", integer, 0), ("optimize", boolean, False)]
 _SWEEP = [("variable", text), ("start", real), ("stop", real), ("steps", integer)]
 # Closed forms of qdet by (channel type, POVM type), for isotropic and max_entangled probes.
 _CLOSED_FORMS = {
@@ -167,7 +168,7 @@ def read_spec(table: dict, spec: dict, where: str):
 
 
 def read_run(doc: dict) -> dict:
-    """Shot count (>= 0), seed and the ``optimize`` switch of a config document."""
+    """Shot count (0 to MAX_SHOTS), seed and the ``optimize`` switch of a config document."""
     return _read_fields(doc, _RUN, "")
 
 
@@ -213,8 +214,8 @@ class SweepSpec:
             raise ConfigError(f"sweep needs 2 to {MAX_STEPS} steps, got {self.steps}")
         if not self.start < self.stop:
             raise ConfigError(f"sweep start {self.start} must be below stop {self.stop}")
-        if self.shots < 0:
-            raise ConfigError(f"shot count {self.shots} must be nonnegative")
+        if not 0 <= self.shots * self.steps <= MAX_SHOTS:
+            raise ConfigError(f"sweep needs 0 to {MAX_SHOTS} draws (steps x shots), got {self.steps} x {self.shots}")
 
 
 def parse_sweep(doc: dict) -> SweepSpec:

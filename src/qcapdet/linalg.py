@@ -127,15 +127,6 @@ def operator_from_double_ket(v) -> np.ndarray:
     return v.reshape(d, d).copy()
 
 
-def double_ket_inner(a, b) -> complex:
-    """Inner product of two double-kets; equals Tr[A^dagger B]."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a.reshape(-1), b.reshape(-1)))
-
-
 def partial_trace_reference(m, dim_ref: int, dim_sys: int) -> np.ndarray:
     """Trace out the first tensor factor of an operator on dim_ref * dim_sys."""
     m = as_complex_matrix(m)

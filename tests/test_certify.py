@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcapdet import (
+    Detector,
+    apply_extended_channel,
     bell_povm,
     certify,
     coherent_information,
@@ -18,7 +20,6 @@ from qcapdet import (
     hashing_bound,
     isotropic_probe,
     max_entangled_probe,
-    measurement_diagnostics,
     outcome_probabilities,
     pauli_channel,
     qdet_from_statistics,
@@ -28,8 +29,35 @@ from qcapdet import (
     threshold_fidelity,
 )
 from qcapdet.errors import DegenerateMeasurementError
-from qcapdet.linalg import binary_entropy, double_ket, hermitian_eigen
+from qcapdet.linalg import PINV_CUTOFF, binary_entropy, double_ket, hermitian_eigen, pseudo_inverse
 from randinst import random_channel, random_density, random_povm, random_probe, random_unitary
+
+
+def measurement_diagnostics(probe, ch, povm):
+    """Conditional-outcome diagnostic.
+
+    Returns (r, t, cond) where cond[i, j] is the outcome-i probability
+    conditioned on the j-th spectral component of the purified channel
+    output, r_i sums cond over components, and t is the outcome weight
+    vector.  Componentwise r <= t, and the spectral mixture of cond
+    reproduces the outcome distribution.
+    """
+    detector = Detector(probe, povm)
+    root_inv = pseudo_inverse(detector.root)
+    joint = apply_extended_channel(ch, detector.purification, probe.d)
+    evals, evecs = hermitian_eigen(joint)
+    keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
+    basis = evecs[:, keep]
+    eye_out = np.eye(ch.dim_out)
+    cond = np.zeros((len(povm), int(keep.sum())))
+    for i, element in enumerate(povm.elements):
+        m = np.zeros_like(element)
+        for a, op in zip(probe.weights, probe.operators):
+            side = np.kron(op @ root_inv, eye_out)
+            m += a * (side.conj().T @ element @ side)
+        cond[i, :] = np.einsum("sj,st,tj->j", basis.conj(), m, basis).real
+    return cond.sum(axis=1), detector.t, cond
+
 
 IDENTITY_QUBIT = pauli_channel(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
@@ -231,7 +259,6 @@ class TestBoundChain:
 
 class TestDiagnostics:
     def test_row_sums_below_weights(self):
-        from qcapdet.channels import apply_extended_channel
         from qcapdet.linalg import matrix_sqrt
 
         rng = np.random.default_rng(66)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qcapdet.cli import main
+from qcapdet.harness import MAX_SHOTS
 
 
 def parse_csv(text):
@@ -227,6 +228,32 @@ def test_negative_shots_option_exits_2(tmp_path, capsys):
     assert main(["certify", "--config", write_config(tmp_path, BASE), "--shots", "-5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["config", "option"])
+@pytest.mark.parametrize("command", ["certify", "sample", "sweep"])
+def test_shots_above_cap_exit_2_without_drawing(command, source, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled although the shot count is above the cap")
+
+    monkeypatch.setattr("qcapdet.harness.sample_outcomes", refuse)
+    shots = MAX_SHOTS + 1
+    doc = SWEEP if command == "sweep" else BASE
+    if source == "config":
+        args = ["--config", write_config(tmp_path, dict(doc, shots=shots))]
+    else:
+        args = ["--config", write_config(tmp_path, doc), "--shots", str(shots)]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(MAX_SHOTS) in err and "Traceback" not in err
+
+
+def test_sweep_total_draws_above_cap_exit_2(tmp_path, capsys):
+    # 3 steps of MAX_SHOTS // 2 shots each: every point is under the cap, the sweep is not
+    doc = dict(SWEEP, shots=MAX_SHOTS // 2)
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "steps x shots" in err
 
 
 @pytest.mark.parametrize("d", ["1", "0", "-3", "1" + "0" * 200])

@@ -14,12 +14,14 @@ from qcapdet import (
 )
 from qcapdet.errors import ConfigError
 from qcapdet.harness import (
+    MAX_SHOTS,
     SweepSpec,
     build_channel,
     build_povm,
     build_probe,
     figure_rows,
     parse_sweep,
+    read_run,
     run_point,
     run_sweep,
     write_csv,
@@ -165,8 +167,19 @@ class TestSweep:
             SweepSpec({}, {}, {}, "p", 0.0, 1.0, 1)
         with pytest.raises(ConfigError):
             SweepSpec({}, {}, {}, "p", 0.5, 0.1, 5)
+        assert SweepSpec({}, {}, {}, "p", 0.0, 1.0, 2, shots=MAX_SHOTS // 2).shots == MAX_SHOTS // 2
+        with pytest.raises(ConfigError):
+            SweepSpec({}, {}, {}, "p", 0.0, 1.0, 2, shots=MAX_SHOTS // 2 + 1)
+        with pytest.raises(ConfigError):
+            SweepSpec({}, {}, {}, "p", 0.0, 1.0, 2, shots=-1)
         with pytest.raises(ConfigError):
             parse_sweep({"channel": {}, "probe": {}, "povm": {}})
+
+    def test_shot_cap_is_inclusive(self):
+        assert read_run({"shots": MAX_SHOTS})["shots"] == MAX_SHOTS
+        assert read_run({"shots": float(MAX_SHOTS)})["shots"] == MAX_SHOTS
+        with pytest.raises(ConfigError):
+            read_run({"shots": MAX_SHOTS + 1})
 
     def test_variable_requires_matching_family(self):
         doc = dict(DEPOL_SWEEP)

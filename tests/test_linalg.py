@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import (
+    as_complex_matrix,
     binary_entropy,
     double_ket,
-    double_ket_inner,
     hermitian_eigen,
     matrix_sqrt,
     operator_from_double_ket,
@@ -20,6 +20,15 @@ from qcapdet.linalg import (
     von_neumann_entropy,
 )
 from randinst import random_density, random_unitary
+
+
+def double_ket_inner(a, b) -> complex:
+    """Inner product of two double-kets; equals Tr[A^dagger B]."""
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    return complex(np.vdot(a.reshape(-1), b.reshape(-1)))
 
 
 def brute_force_partial_trace(m, d_ref, d_sys, over):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qcapdet import sampling
 from qcapdet.sampling import (
     SAMPLE_CHUNK,
     ShotRecord,
@@ -73,7 +74,11 @@ class TestSampleOutcomes:
         with pytest.raises(ValueError):
             sample_outcomes([0.5, 0.5], 0, 1)
 
-    @pytest.mark.parametrize("shots", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 12345])
+    @pytest.mark.parametrize(
+        "shots",
+        [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1]
+        + [8 * SAMPLE_CHUNK - 1, 8 * SAMPLE_CHUNK, 8 * SAMPLE_CHUNK + 1, 16 * SAMPLE_CHUNK + 12345],
+    )
     def test_chunked_counts_equal_unchunked_reference(self, shots):
         p = np.array([0.1, 0.25, 0.05, 0.6])
         assert sample_outcomes(p, shots, 2024).counts == unchunked_counts(p, shots, 2024)
@@ -87,11 +92,92 @@ class TestSampleOutcomes:
         finally:
             tracemalloc.stop()
         assert record.shots == 4 * 10**6
-        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_record_invariant(self):
         with pytest.raises(Exception):
             ShotRecord((3, 4), 8, 0)
+
+
+def random_distribution(rng, n, zeros=0):
+    p = rng.random(n) ** 3
+    p[rng.choice(n, size=zeros, replace=False)] = 0.0
+    return p / p.sum()
+
+
+class TestEquivalenceWithReference:
+    """sample_outcomes against unchunked_counts: the same stream and the same
+    outcome rule must give the same counts, whatever the chunking and
+    whichever counting route the outcome count selects."""
+
+    @pytest.mark.parametrize("chunk", [1 << 10, SAMPLE_CHUNK])
+    def test_outcome_counts_2_to_272(self, chunk, monkeypatch):
+        monkeypatch.setattr(sampling, "SAMPLE_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for n in range(2, 273):
+            p = random_distribution(rng, n, zeros=n // 7)
+            shots, seed = int(rng.integers(1, 3000)), int(rng.integers(0, 2**63))
+            assert sample_outcomes(p, shots, seed).counts == unchunked_counts(p, shots, seed), n
+
+    @pytest.mark.parametrize("n", [3, 40])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_zero_probability_outcomes(self, n, where):
+        p = np.full(n, 1.0)
+        p[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = 0.0
+        p /= p.sum()
+        counts = sample_outcomes(p, 20000, 11).counts
+        assert counts == unchunked_counts(p, 20000, 11)
+        assert counts[np.flatnonzero(p == 0.0)[0]] == 0
+
+    @pytest.mark.parametrize("n", [4, 40])
+    @pytest.mark.parametrize("ulps", [-3, -2, -1, 0, 1, 2, 3])
+    def test_edges_a_few_ulps_around_one(self, n, ulps):
+        # the last outcome has zero probability, so cumsum(p) ends on the
+        # last threshold, placed `ulps` doubles away from 1
+        target = 1.0
+        for _ in range(abs(ulps)):
+            target = np.nextafter(target, 2.0 if ulps > 0 else 0.0)
+        head = np.full(n - 2, 1.0 / n)
+        partial = np.cumsum(head)[-1]
+        x = target - partial
+        while partial + x < target:
+            x = np.nextafter(x, 2.0)
+        while partial + x > target:
+            x = np.nextafter(x, 0.0)
+        p = np.append(head, [x, 0.0])
+        assert np.cumsum(p)[-1] == target
+        assert sample_outcomes(p, 5000, n + ulps).counts == unchunked_counts(p, 5000, n + ulps)
+
+    @pytest.mark.parametrize("n", [2, 20])
+    def test_edges_placed_on_draws(self, n):
+        # a draw equal to an edge belongs to the outcome after it, the draw
+        # one ulp below the edge to the outcome before
+        u = uniform_stream(5, 2000)
+        for k in (0, 17, 1999):
+            for edge, first in ((u[k], 0), (np.nextafter(u[k], 1.0), 1)):
+                p = [edge] + [(1.0 - edge) / (n - 1)] * (n - 1)
+                counts = sample_outcomes(p, 2000, 5).counts
+                assert counts == unchunked_counts(p, 2000, 5)
+                assert counts[0] == np.count_nonzero(u < edge) and counts[0] == np.count_nonzero(u < u[k]) + first
+
+    # the counter seed + (k+1) GAMMA passes 2^64 at the first draw, at draw 2
+    # (it reads 0 there), and for the negative seeds, read modulo 2^64
+    @pytest.mark.parametrize("seed", [2**64 - 1, (-3 * 0x9E3779B97F4A7C15) % 2**64, 2**64 + 7, -1, -(2**63)])
+    def test_seeds_where_the_counter_wraps(self, seed, monkeypatch):
+        monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 1 << 10)
+        for p in (np.full(4, 0.25), np.full(30, 1.0 / 30)):
+            assert sample_outcomes(p, 5000, seed).counts == unchunked_counts(p, 5000, seed)
+
+    @pytest.mark.parametrize("chunk", [1000, 1 << 10, 1 << 15, 1 << 18])
+    def test_chunk_boundaries(self, chunk, monkeypatch):
+        monkeypatch.setattr(sampling, "SAMPLE_CHUNK", chunk)
+        p_small, p_large = np.array([0.1, 0.25, 0.05, 0.6]), np.full(64, 1.0 / 64)
+        for shots in (chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1):
+            for p in (p_small, p_large):
+                assert sample_outcomes(p, shots, 2024).counts == unchunked_counts(p, shots, 2024)
+
+    def test_single_outcome(self):
+        assert sample_outcomes([1.0], 70000, 3).counts == (70000,)
 
 
 class TestSubseeds:
