@@ -44,14 +44,21 @@ class QuantumChannel:
             raise InvalidStateError("Kraus operators are not trace preserving")
 
 
+def weyl_unitaries(d: int) -> np.ndarray:
+    """All d^2 shift-and-phase unitaries U_mn = sum_k exp(2 pi i k m / d)
+    |k><(k+n) mod d|, stacked in (m, n) order: entry m * d + n is U_mn."""
+    k = np.arange(d)
+    m, n = np.divmod(np.arange(d * d), d)
+    u = np.zeros((d * d, d, d), dtype=complex)
+    u[np.arange(d * d)[:, None], k, (k + n[:, None]) % d] = np.exp(2j * np.pi * m[:, None] * k / d)
+    return u
+
+
 def weyl_unitary(d: int, m: int, n: int) -> np.ndarray:
-    """Shift-and-phase unitary: sum_k exp(2 pi i k m / d) |k><(k+n) mod d|."""
+    """The unitary U_mn of :func:`weyl_unitaries`."""
     if not (0 <= m < d and 0 <= n < d):
         raise ValueError(f"Weyl indices ({m}, {n}) out of range for d={d}")
-    u = np.zeros((d, d), dtype=complex)
-    k = np.arange(d)
-    u[k, (k + n) % d] = np.exp(2j * np.pi * m * k / d)
-    return u
+    return weyl_unitaries(d)[m * d + n].copy()  # not a view that keeps all d^2 alive
 
 
 def pauli_channel(probs, label: str | None = None) -> QuantumChannel:
@@ -64,10 +71,8 @@ def pauli_channel(probs, label: str | None = None) -> QuantumChannel:
         raise InvalidStateError(f"negative Weyl weight {p.min()}")
     if abs(p.sum() - 1.0) > PROB_TOL:
         raise InvalidStateError(f"Weyl weights sum to {p.sum()}, not 1")
-    kraus = tuple(
-        np.sqrt(p[m, n]) * weyl_unitary(d, m, n) for m in range(d) for n in range(d)
-    )
-    return QuantumChannel(d, d, kraus, label or f"pauli(d={d})")
+    kraus = np.sqrt(p).reshape(-1, 1, 1) * weyl_unitaries(d)
+    return QuantumChannel(d, d, tuple(kraus), label or f"pauli(d={d})")
 
 
 def depolarizing_channel(d: int, p: float) -> QuantumChannel:

@@ -280,9 +280,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             povm = _make("povm", make_povm, povm_args, probe.d) if detector is None else detector.povm
             detector = Detector(probe, povm)
         d = detector.probe.d
-        result, estimate, _ = _evaluate(
-            detector, channel, spec.optimize, spec.shots, derive_subseed(spec.seed, i)
-        )
+        seed = derive_subseed(spec.seed, i) if spec.shots > 0 else 0  # exact points draw nothing
+        result, estimate, _ = _evaluate(detector, channel, spec.optimize, spec.shots, seed)
         row: dict = {spec.variable: float(value), "qdet": result.qdet}
         noise, fidelity = channel_args.get("p", 0.0), probe_args.get("F", 1.0)
         if closed_form is not None:

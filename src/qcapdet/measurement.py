@@ -9,23 +9,22 @@ channel preserves the system dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, apply_extended_channel, weyl_unitary
+from .channels import QuantumChannel, apply_extended_channel, weyl_unitaries
 from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
     InvalidStateError,
 )
 from .linalg import (
+    HERMITIAN_TOL,
     PSD_TOL,
     TP_TOL,
     as_complex_matrix,
-    double_ket,
-    hermitian_part,
-    is_hermitian,
     probability_vector,
     pseudo_inverse,
     psd_rank,
@@ -33,53 +32,92 @@ from .linalg import (
 from .probes import BipartiteProbeState, reduced_system_state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Povm:
-    """Finite list of positive operators summing to the identity."""
+    """Finite list of positive operators summing to the identity.
+
+    Each element is stored as a factor, Pi_i = B_i B_i^dagger: B_i is made of
+    the columns j of ``factors`` with ``owner[j] == i``.  Dense elements are
+    checked Hermitian and positive semidefinite, and the eigendecomposition
+    of that check gives their factors; :meth:`from_kets` takes rank-one
+    elements directly.  Either way, completeness is checked once, as
+    B B^dagger = I.
+    """
 
     dim: int
-    elements: tuple[np.ndarray, ...]  # or one (n, dim, dim) array, used without a copy
-    labels: tuple[str, ...] = field(default=(), compare=False)
-    name: str = field(default="povm", compare=False)
-    # Row i is Pi_i flattened, so matrix @ X.T.reshape(-1) gives Tr[X Pi_i];
-    # the elements are views into the same array.
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    factors: np.ndarray = field(repr=False)  # (dim, R)
+    owner: np.ndarray = field(repr=False)  # (R,), the element of each factor column
+    labels: tuple[str, ...]
+    name: str
 
-    def __post_init__(self):
-        if len(self.elements) == 0:
+    def __init__(self, dim: int, elements, labels: Sequence[str] = (), name: str = "povm"):
+        if len(elements) == 0:
             raise InvalidStateError("POVM needs at least one element")
-        ops = tuple(as_complex_matrix(e) for e in self.elements)
+        ops = [as_complex_matrix(e) for e in elements]
         for e in ops:
-            if e.shape != (self.dim, self.dim):
-                raise DimensionMismatchError(f"POVM element shape {e.shape} != ({self.dim}, {self.dim})")
-            if not is_hermitian(e):
-                raise InvalidStateError("POVM element is not Hermitian")
-            if np.linalg.eigvalsh(hermitian_part(e)).min() < -PSD_TOL:
-                raise InvalidStateError("POVM element is not positive semidefinite")
-        total = sum(ops)
-        if np.max(np.abs(total - np.eye(self.dim))) > TP_TOL:
+            if e.shape != (dim, dim):
+                raise DimensionMismatchError(f"POVM element shape {e.shape} != ({dim}, {dim})")
+        stack = np.array(ops)
+        adjoint = stack.conj().transpose(0, 2, 1)
+        if np.max(np.abs(stack - adjoint)) > HERMITIAN_TOL:
+            raise InvalidStateError("POVM element is not Hermitian")
+        evals, evecs = np.linalg.eigh((stack + adjoint) / 2.0)
+        if evals.min() < -PSD_TOL:
+            raise InvalidStateError("POVM element is not positive semidefinite")
+        # Numerical rank, as numpy's matrix_rank counts it: eigenvalues at
+        # rounding level of an element's largest one carry no weight.
+        cutoff = np.clip(evals.max(axis=1, keepdims=True), 0.0, None) * dim * np.finfo(float).eps
+        owner, column = np.nonzero(evals > cutoff)
+        factors = (evecs[owner, :, column] * np.sqrt(evals[owner, column])[:, None]).T
+        self._store(dim, factors, owner, len(ops), labels, name)
+
+    @classmethod
+    def from_kets(cls, dim: int, kets, labels: Sequence[str] = (), name: str = "povm") -> "Povm":
+        """The rank-one POVM |k_i><k_i| over the rows k_i of ``kets``; such
+        elements are Hermitian and positive by construction."""
+        kets = np.asarray(kets, dtype=complex)
+        if kets.ndim != 2 or kets.shape[1] != dim:
+            raise DimensionMismatchError(f"ket stack shape {kets.shape} != (n, {dim})")
+        povm = cls.__new__(cls)
+        povm._store(dim, kets.T, np.arange(len(kets)), len(kets), labels, name)
+        return povm
+
+    def _store(self, dim: int, factors: np.ndarray, owner: np.ndarray, count: int, labels, name: str):
+        if not np.isfinite(factors).all():
+            raise InvalidStateError("POVM factors contain non-finite entries")
+        if np.max(np.abs(factors @ factors.conj().T - np.eye(dim))) > TP_TOL:
             raise InvalidStateError("POVM elements do not sum to the identity")
-        labels = self.labels or tuple(f"outcome_{i}" for i in range(len(ops)))
-        if len(labels) != len(ops):
+        labels = tuple(labels) or tuple(f"outcome_{i}" for i in range(count))
+        if len(labels) != count:
             raise DimensionMismatchError("label count differs from element count")
-        stack = np.asarray(self.elements, dtype=complex)
-        object.__setattr__(self, "elements", tuple(stack))
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "matrix", stack.reshape(len(ops), -1))
+        self.__dict__.update(dim=dim, factors=factors, owner=owner, labels=labels, name=name)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
+
+    def traces(self, op: np.ndarray) -> np.ndarray:
+        """Re Tr[op Pi_i] for every element, as sum_j b_j^dagger op b_j over
+        the columns b_j of B_i."""
+        columns = np.einsum("aj,aj->j", self.factors.conj(), op @ self.factors).real
+        return np.bincount(self.owner, weights=columns, minlength=len(self))
 
     def probabilities(self, state: np.ndarray) -> np.ndarray:
         """Outcome distribution Tr[state Pi_i], checked as a probability vector."""
-        return probability_vector((self.matrix @ state.T.reshape(-1)).real)
+        return probability_vector(self.traces(state))
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Row i is Pi_i flattened, so matrix @ X.T.reshape(-1) gives
+        Tr[X Pi_i]; built from the factors on first use."""
+        columns = self.factors.T
+        stack = np.zeros((len(self), self.dim, self.dim), dtype=complex)
+        np.add.at(stack, self.owner, columns[:, :, None] * columns[:, None, :].conj())
+        return stack.reshape(len(self), -1)
 
-def _bell_projectors(d: int) -> np.ndarray:
-    """The d^2 generalized Bell projectors stacked in (m, n) order."""
-    vecs = np.array([double_ket(weyl_unitary(d, m, n)) for m in range(d) for n in range(d)])
-    vecs /= np.sqrt(d)
-    return vecs[:, :, None] * vecs[:, None, :].conj()
+    @property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        """The dense elements Pi_i, as views into :attr:`matrix`."""
+        return tuple(self.matrix.reshape(len(self), self.dim, self.dim))
 
 
 def bell_povm(d: int) -> Povm:
@@ -87,27 +125,20 @@ def bell_povm(d: int) -> Povm:
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
     labels = tuple(f"bell_{m}_{n}" for m in range(d) for n in range(d))
-    return Povm(d * d, _bell_projectors(d), labels, name=f"bell(d={d})")
+    kets = weyl_unitaries(d).reshape(d * d, -1) / np.sqrt(d)  # |U_mn>>/sqrt(d)
+    return Povm.from_kets(d * d, kets, labels, name=f"bell(d={d})")
 
 
 def erasure_povm(d: int) -> Povm:
-    """Flag-adapted basis on reference x (system + flag): d^2 embedded Bell
-    projectors followed by the d flag projectors |i><i| x |e><e|."""
+    """Flag-adapted basis on reference x (system + flag): the d^2 Bell states
+    on reference x system followed by the d flagged states |i>|e>."""
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
-    embed = np.zeros((d + 1, d), dtype=complex)
-    embed[:d, :] = np.eye(d)
-    lift = np.kron(np.eye(d), embed)  # reference x first-d-levels isometry
-    elements = list(lift @ _bell_projectors(d) @ lift.conj().T)
-    labels = [f"bell_{m}_{n}" for m in range(d) for n in range(d)]
-    flag = np.zeros((d + 1, d + 1), dtype=complex)
-    flag[d, d] = 1.0
-    for i in range(d):
-        ref = np.zeros((d, d), dtype=complex)
-        ref[i, i] = 1.0
-        elements.append(np.kron(ref, flag))
-        labels.append(f"flag_{i}")
-    return Povm(d * (d + 1), tuple(elements), tuple(labels), name=f"erasure_adapted(d={d})")
+    kets = np.zeros((d * d + d, d, d + 1), dtype=complex)  # (outcome, reference, system + flag)
+    kets[: d * d, :, :d] = weyl_unitaries(d) / np.sqrt(d)
+    kets[d * d + np.arange(d), np.arange(d), d] = 1.0
+    labels = [f"bell_{m}_{n}" for m in range(d) for n in range(d)] + [f"flag_{i}" for i in range(d)]
+    return Povm.from_kets(d * (d + 1), kets.reshape(d * d + d, -1), labels, name=f"erasure_adapted(d={d})")
 
 
 def outcome_probabilities(
@@ -160,7 +191,7 @@ def outcome_weights(probe: BipartiteProbeState, povm: Povm, rho_t_pinv, rank: in
         a * (op @ rho_t_pinv @ op.conj().T)
         for a, op in zip(probe.weights, probe.operators)
     )
-    t = (povm.matrix @ np.kron(left.T, np.eye(dim_out)).reshape(-1)).real
+    t = povm.traces(np.kron(left, np.eye(dim_out)))
     t = np.where((t < 0.0) & (t > -PSD_TOL), 0.0, t)
     expected = dim_out * rank
     if abs(t.sum() - expected) > 1e-8:

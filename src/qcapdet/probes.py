@@ -83,7 +83,7 @@ def max_entangled_probe(d: int) -> BipartiteProbeState:
 
 def bell_diagonal_probe(q, label: str | None = None) -> BipartiteProbeState:
     """Probe diagonal in the generalized Bell basis with weights q[m, n]."""
-    from .channels import weyl_unitary  # local import avoids a cycle
+    from .channels import weyl_unitaries  # local import avoids a cycle
 
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -93,9 +93,7 @@ def bell_diagonal_probe(q, label: str | None = None) -> BipartiteProbeState:
         raise InvalidStateError(f"negative Bell weight {q.min()}")
     if abs(q.sum() - 1.0) > PROB_TOL:
         raise InvalidStateError(f"Bell weights sum to {q.sum()}, not 1")
-    ops = np.asarray(
-        [weyl_unitary(d, m, n) / np.sqrt(d) for m in range(d) for n in range(d)]
-    )
+    ops = weyl_unitaries(d) / np.sqrt(d)
     return BipartiteProbeState(
         d,
         _assemble_sigma(q.reshape(-1), ops),

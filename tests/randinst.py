@@ -29,7 +29,7 @@ def random_channel(rng, d_in, d_out=None, n_kraus=None, label="random"):
     return QuantumChannel(d_in, d_out, ops, label=label)
 
 
-def random_povm(rng, dim, n_elements=None):
+def random_povm_elements(rng, dim, n_elements=None):
     """Random positive operators squeezed to completeness by S^-1/2 G S^-1/2."""
     n_elements = n_elements or int(rng.integers(2, 7))
     gs = []
@@ -37,7 +37,12 @@ def random_povm(rng, dim, n_elements=None):
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         gs.append(x @ x.conj().T)
     shrink = pseudo_inverse(matrix_sqrt(sum(gs)))
-    return Povm(dim, tuple(shrink @ g @ shrink for g in gs))
+    return tuple(shrink @ g @ shrink for g in gs)
+
+
+def random_povm(rng, dim, n_elements=None):
+    """Povm of :func:`random_povm_elements`."""
+    return Povm(dim, random_povm_elements(rng, dim, n_elements))
 
 
 def random_probe(rng, d, n_terms=None, rank=None):

@@ -11,6 +11,7 @@ from qcapdet import (
     pauli_channel,
     weyl_unitary,
 )
+from qcapdet.channels import weyl_unitaries
 from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import partial_trace_system
 from randinst import random_channel, random_density, random_probe
@@ -50,6 +51,19 @@ class TestWeyl:
                         tr = np.trace(weyl_unitary(d, m, n).conj().T @ weyl_unitary(d, mp, np_))
                         expected = d if (m, n) == (mp, np_) else 0.0
                         assert abs(tr - expected) < 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_stack_equals_the_per_index_formula(self, d):
+        # The one-(m, n)-at-a-time construction the stack replaced, bit for bit.
+        stack = weyl_unitaries(d)
+        assert stack.shape == (d * d, d, d)
+        k = np.arange(d)
+        for m in range(d):
+            for n in range(d):
+                u = np.zeros((d, d), dtype=complex)
+                u[k, (k + n) % d] = np.exp(2j * np.pi * m * k / d)
+                assert np.array_equal(stack[m * d + n], u)
+                assert np.array_equal(weyl_unitary(d, m, n), u)
 
     def test_index_range(self):
         with pytest.raises(ValueError):

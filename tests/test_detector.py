@@ -162,7 +162,7 @@ class TestChecksStillFire:
 
     def test_sum_rule(self):
         povm = bell_povm(2)
-        object.__setattr__(povm, "matrix", 1.1 * povm.matrix)
+        object.__setattr__(povm, "factors", np.sqrt(1.1) * povm.factors)  # every element scaled by 1.1
         with pytest.raises(InternalConsistencyError):
             Detector(isotropic_probe(2, 0.9), povm)
 
@@ -170,7 +170,7 @@ class TestChecksStillFire:
         povm = bell_povm(2)
         detector = Detector(isotropic_probe(2, 0.9), povm)
         detector.certify(depolarizing_channel(2, 0.1))
-        object.__setattr__(povm, "matrix", 1.1 * povm.matrix)
+        object.__setattr__(povm, "factors", np.sqrt(1.1) * povm.factors)
         with pytest.raises(InvalidStateError):
             detector.certify(depolarizing_channel(2, 0.1))
 

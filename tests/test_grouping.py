@@ -10,9 +10,9 @@ from qcapdet import (
     Povm,
     bell_povm,
     depolarizing_channel,
-    erasure_channel,
-    erasure_povm,
     isotropic_probe,
+    max_entangled_probe,
+    pauli_channel,
 )
 from qcapdet.certify import (
     EXHAUSTIVE_GROUPING_LIMIT,
@@ -83,9 +83,12 @@ def test_matches_reference_on_random_instances():
 
 
 def test_merge_on_rounding_noise_is_not_taken():
-    # Erasure d=3 at p=0.4 with a perfect probe: the old search merged
-    # outcomes 1 and 6 for a gain of a few 1e-16.
-    p, t, entropy, raw_qdet = statistics(isotropic_probe(3, 1.0), erasure_channel(3, 0.4), erasure_povm(3))
+    # d=3 Weyl channel, U_00 with weight 3/4 and U_11 with 1/4, perfect
+    # probe: the per-candidate search merges outcomes 1 and 2, both of
+    # probability 0, for a gain of about 1e-16.
+    grid = np.zeros((3, 3))
+    grid[0, 0], grid[1, 1] = 0.75, 0.25
+    p, t, entropy, raw_qdet = statistics(max_entangled_probe(3), pauli_channel(grid), bell_povm(3))
     old_qdet, old_grouping = reference_grouping(p, t, entropy)
     assert len(old_grouping) < p.size and 0.0 < old_qdet - raw_qdet < GROUPING_TOL
     qdet, grouping, _, _ = _best_grouping(p, t, entropy)

@@ -12,6 +12,7 @@ from qcapdet import (
     outcome_probabilities,
     t_vector,
 )
+from qcapdet import harness
 from qcapdet.errors import ConfigError
 from qcapdet.harness import (
     MAX_SHOTS,
@@ -152,6 +153,16 @@ class TestSweep:
         rows = run_sweep(parse_sweep(doc))
         for row in rows:
             assert "qdet_estimate" in row and row["shots"] == 2000
+
+    def test_exact_sweep_derives_no_subseed(self, monkeypatch):
+        def refuse(seed, index):
+            raise AssertionError("an exact sweep point derived a sampling seed")
+
+        monkeypatch.setattr(harness, "derive_subseed", refuse)
+        rows = run_sweep(parse_sweep(DEPOL_SWEEP))
+        assert len(rows) == 6 and all("qdet_estimate" not in row for row in rows)
+        with pytest.raises(AssertionError):
+            run_sweep(parse_sweep(dict(DEPOL_SWEEP, shots=10)))
 
     def test_determinism(self):
         doc = dict(DEPOL_SWEEP)
