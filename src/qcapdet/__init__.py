@@ -87,70 +87,7 @@ from .sampling import ShotRecord, derive_subseed, sample_outcomes, uniform_strea
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteProbeState",
-    "CertificationError",
-    "CertificationResult",
-    "ConfigError",
-    "DegenerateMeasurementError",
-    "Detector",
-    "DimensionMismatchError",
-    "InternalConsistencyError",
-    "InvalidStateError",
-    "Povm",
-    "QuantumChannel",
-    "ShotRecord",
-    "SpectralDecomposition",
-    "SweepSpec",
-    "apply_channel",
-    "apply_extended_channel",
-    "bell_diagonal_probe",
-    "bell_povm",
-    "binary_entropy",
-    "build_channel",
-    "build_povm",
-    "build_probe",
-    "certify",
-    "coarse_grain",
-    "coherent_information",
-    "custom_probe",
-    "depolarizing_channel",
-    "depolarizing_isotropic_qdet",
-    "derive_subseed",
-    "double_ket",
-    "entropy_exchange",
-    "erasure_channel",
-    "erasure_exact_capacity",
-    "erasure_povm",
-    "erasure_qdet_closed_form",
-    "estimate_qdet",
-    "figure_rows",
-    "hashing_bound",
-    "hermitian_eigen",
-    "isotropic_probe",
-    "matrix_sqrt",
-    "max_entangled_probe",
-    "operator_from_double_ket",
-    "outcome_probabilities",
-    "parse_sweep",
-    "partial_trace_reference",
-    "partial_trace_system",
-    "pauli_bell_convolution",
-    "pauli_channel",
-    "probability_vector",
-    "probe_from_density",
-    "pseudo_inverse",
-    "qdet_from_statistics",
-    "reduced_system_state",
-    "run_point",
-    "run_sweep",
-    "sample_outcomes",
-    "shannon_entropy",
-    "t_vector",
-    "threshold_fidelity",
-    "uniform_stream",
-    "validate_density_matrix",
-    "von_neumann_entropy",
-    "weyl_unitary",
-    "write_csv",
-]
+# The public API is every name imported above, written once there.
+__all__ = sorted(
+    name for name, value in globals().items() if getattr(value, "__module__", "").startswith(__name__ + ".")
+)

@@ -32,15 +32,16 @@ from .linalg import (
     PINV_CUTOFF,
     RECON_TOL,
     binary_entropy,
+    checked_state_entropy,
+    density_eigen,
     double_ket,
-    hermitian_eigen,
     matrix_sqrt,
     shannon_entropy,
     validate_density_matrix,
     von_neumann_entropy,
 )
 from .measurement import Povm, coarse_grain, iter_partitions, outcome_weights
-from .probes import BipartiteProbeState, reduced_system_state
+from .probes import BipartiteProbeState, system_marginal
 
 CHAIN_TOL = 1e-9
 EXHAUSTIVE_GROUPING_LIMIT = 6  # enumerate all partitions up to this many outcomes
@@ -145,16 +146,17 @@ def _best_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
 class Detector:
     """The channel-independent half of the bound for one probe and POVM.
 
-    Built and checked once: the marginal rho (two routes agree), one
-    eigendecomposition of rho^T giving S(rho), the purification sqrt(rho^T),
-    the pseudo-inverse and the rank, and t with its sum rule.  Each
-    :meth:`certify` call checks every channel output state, the outcome
-    distribution, and the chain qdet <= I_c against the exact oracle.
+    Built and checked once: the marginal rho (two routes agree), then one
+    eigendecomposition of rho^T giving its density-matrix check, S(rho), the
+    purification sqrt(rho^T), the pseudo-inverse and the rank, and t with its
+    sum rule.  Each :meth:`certify` call checks every channel output state,
+    the outcome distribution, and the chain qdet <= I_c against the exact
+    oracle.
     """
 
     def __init__(self, probe: BipartiteProbeState, povm: Povm):
-        rho = reduced_system_state(probe)
-        evals, evecs = hermitian_eigen(rho.T)
+        rho = system_marginal(probe)
+        evals, evecs = density_eigen(rho.T)  # checks rho^T, so rho, as a density matrix
         spectrum = np.clip(evals, 0.0, None)
         keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
         inverse = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
@@ -170,7 +172,7 @@ class Detector:
     def certify(self, ch: QuantumChannel, optimize: bool = False) -> CertificationResult:
         """Bound for one channel; ``optimize`` searches outcome coarse-grainings."""
         d = self.probe.d
-        output_entropy = von_neumann_entropy(apply_channel(ch, self.rho))  # checks dim_in
+        output_entropy = checked_state_entropy(apply_channel(ch, self.rho))  # checks dim_in and E(rho)
         if self.povm.dim != d * ch.dim_out:
             raise DimensionMismatchError(f"POVM dim {self.povm.dim} != reference x output = {d * ch.dim_out}")
         joint = validate_density_matrix(apply_kraus(ch, self.probe.sigma, d))

@@ -8,21 +8,18 @@ one level; the flag state sits at index ``d`` of the output basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .linalg import (
-    PROB_TOL,
-    TP_TOL,
-    as_complex_matrix,
-    validate_density_matrix,
-)
+from .linalg import PROB_TOL, TP_TOL, validate_density_matrix
 
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators,
+    checked as one (n, dim_out, dim_in) stack when built."""
 
     dim_in: int
     dim_out: int
@@ -32,16 +29,26 @@ class QuantumChannel:
     def __post_init__(self):
         if not self.kraus:
             raise InvalidStateError("channel needs at least one Kraus operator")
-        ops = tuple(as_complex_matrix(k) for k in self.kraus)
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimensionMismatchError(
-                    f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
-                )
-        object.__setattr__(self, "kraus", ops)
-        total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(self.dim_in))) > TP_TOL:
+        try:
+            stack = np.asarray(self.kraus, dtype=complex)
+        except ValueError as exc:  # ragged: the operators differ in shape
+            raise DimensionMismatchError(f"Kraus operators do not stack: {exc}") from exc
+        if stack.ndim != 3 or stack.shape[1:] != (self.dim_out, self.dim_in):
+            raise DimensionMismatchError(f"Kraus operator shape {stack.shape[1:]} != ({self.dim_out}, {self.dim_in})")
+        if not np.isfinite(stack).all():
+            raise InvalidStateError("Kraus operators contain non-finite entries")
+        object.__setattr__(self, "kraus", tuple(stack))
+        flat = stack.reshape(-1, self.dim_in)  # sum_k K^dagger K is one product
+        if np.max(np.abs(flat.conj().T @ flat - np.eye(self.dim_in))) > TP_TOL:
             raise InvalidStateError("Kraus operators are not trace preserving")
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        """sum_k K x conj(K) as a (dim_out^2, dim_in^2) matrix, formed on first use."""
+        kraus = np.stack(self.kraus, axis=-1)  # (dim_out, dim_in, n)
+        o, i, n = kraus.shape
+        flat = kraus.reshape(o * i, n)
+        return (flat @ flat.conj().T).reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
 
 
 def weyl_unitaries(d: int) -> np.ndarray:
@@ -95,25 +102,18 @@ def erasure_channel(d: int, p: float) -> QuantumChannel:
         raise ValueError(f"dimension {d} must be at least 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} outside [0, 1]")
-    embed = np.zeros((d + 1, d), dtype=complex)
-    embed[:d, :] = np.eye(d)
-    kraus = [np.sqrt(1.0 - p) * embed]
-    for i in range(d):
-        flip = np.zeros((d + 1, d), dtype=complex)
-        flip[d, i] = np.sqrt(p)
-        kraus.append(flip)
+    kraus = np.zeros((d + 1, d + 1, d), dtype=complex)  # the embedding, then one flag operator per input level
+    kraus[0, :d] = np.sqrt(1.0 - p) * np.eye(d)
+    kraus[1 + np.arange(d), d, np.arange(d)] = np.sqrt(p)
     return QuantumChannel(d, d + 1, tuple(kraus), label=f"erasure(d={d}, p={p:g})")
 
 
 def apply_kraus(ch: QuantumChannel, state: np.ndarray, dim_ref: int) -> np.ndarray:
-    """Unchecked (I_ref x E)(state) through the transfer matrix
-    sum_k K x conj(K), with no I_ref x K formed.  With dim_ref = 1 this is E(state)."""
-    kraus = np.stack(ch.kraus, axis=-1)  # (dim_out, dim_in, n)
-    o, i, n = kraus.shape
-    flat = kraus.reshape(o * i, n)
-    transfer = (flat @ flat.conj().T).reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
+    """Unchecked (I_ref x E)(state) through the channel's transfer matrix,
+    with no I_ref x K formed.  With dim_ref = 1 this is E(state)."""
+    o, i = ch.dim_out, ch.dim_in
     pairs = state.reshape(dim_ref, i, dim_ref, i).transpose(1, 3, 0, 2).reshape(i * i, dim_ref**2)
-    out = (transfer @ pairs).reshape(o, o, dim_ref, dim_ref).transpose(2, 0, 3, 1)
+    out = (ch.transfer @ pairs).reshape(o, o, dim_ref, dim_ref).transpose(2, 0, 3, 1)
     return out.reshape(dim_ref * o, dim_ref * o)
 
 

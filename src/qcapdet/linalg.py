@@ -45,9 +45,10 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def _density_spectrum(rho: np.ndarray) -> np.ndarray:
+def _density_spectrum(rho: np.ndarray, vectors: bool = False):
     """Eigenvalues of a complex matrix after checking that it is a density
-    matrix: square, Hermitian, of unit trace and positive semidefinite."""
+    matrix: square, Hermitian, of unit trace and positive semidefinite.  With
+    ``vectors``, the check's one decomposition, as hermitian_eigen gives it."""
     if rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
     if not is_hermitian(rho):
@@ -55,10 +56,11 @@ def _density_spectrum(rho: np.ndarray) -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"density matrix trace {tr} differs from 1")
-    evals = np.linalg.eigvalsh(hermitian_part(rho))
+    spectrum = _descending_eigh(rho) if vectors else None
+    evals = spectrum.eigenvalues if vectors else np.linalg.eigvalsh(hermitian_part(rho))
     if evals.min() < -PSD_TOL:
         raise InvalidStateError(f"density matrix has negative eigenvalue {evals.min()}")
-    return evals
+    return spectrum if vectors else evals
 
 
 def validate_density_matrix(rho) -> np.ndarray:
@@ -90,11 +92,23 @@ def _entropy_bits(spectrum: np.ndarray) -> float:
     return float(-np.sum(x * np.log2(x)))
 
 
+def density_eigen(rho) -> SpectralDecomposition:
+    """Check rho as validate_density_matrix does and return its eigenvalues,
+    descending, with their eigenvectors, all from one decomposition."""
+    return _density_spectrum(as_complex_matrix(rho), vectors=True)
+
+
 def von_neumann_entropy(rho) -> float:
     """Spectral entropy of a density matrix, in bits; checked as by
     validate_density_matrix, from the same eigenvalues."""
     evals = _density_spectrum(as_complex_matrix(rho))
     return _entropy_bits(np.clip(evals, 0.0, None))
+
+
+def checked_state_entropy(rho: np.ndarray) -> float:
+    """von_neumann_entropy of a state that validate_density_matrix has
+    already passed, without checking it again."""
+    return _entropy_bits(np.clip(np.linalg.eigvalsh(hermitian_part(rho)), 0.0, None))
 
 
 def shannon_entropy(p) -> float:
@@ -155,6 +169,10 @@ def hermitian_eigen(m) -> SpectralDecomposition:
     m = as_complex_matrix(m)
     if not is_hermitian(m):
         raise InvalidStateError("matrix is not Hermitian within tolerance")
+    return _descending_eigh(m)
+
+
+def _descending_eigh(m: np.ndarray) -> SpectralDecomposition:
     evals, evecs = np.linalg.eigh(hermitian_part(m))
     order = np.argsort(evals)[::-1]
     return SpectralDecomposition(evals[order].copy(), evecs[:, order].copy())

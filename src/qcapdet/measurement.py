@@ -97,8 +97,10 @@ class Povm:
 
     def traces(self, op: np.ndarray) -> np.ndarray:
         """Re Tr[op Pi_i] for every element, as sum_j b_j^dagger op b_j over
-        the columns b_j of B_i."""
-        columns = np.einsum("aj,aj->j", self.factors.conj(), op @ self.factors).real
+        the columns b_j of B_i.  An op of side k < dim is read as op x
+        I_(dim/k), through a reshape of the factors."""
+        applied = (op @ self.factors.reshape(len(op), -1)).reshape(self.factors.shape)
+        columns = np.einsum("aj,aj->j", self.factors.conj(), applied).real
         return np.bincount(self.owner, weights=columns, minlength=len(self))
 
     def probabilities(self, state: np.ndarray) -> np.ndarray:
@@ -187,11 +189,9 @@ def outcome_weights(probe: BipartiteProbeState, povm: Povm, rho_t_pinv, rank: in
     if povm.dim % probe.d != 0:
         raise DimensionMismatchError(f"POVM dim {povm.dim} not divisible by probe dim {probe.d}")
     dim_out = povm.dim // probe.d
-    left = sum(
-        a * (op @ rho_t_pinv @ op.conj().T)
-        for a, op in zip(probe.weights, probe.operators)
-    )
-    t = povm.traces(np.kron(left, np.eye(dim_out)))
+    ops = probe.operators  # left = sum_l a_l A_l pinv A_l^dagger, one batched product
+    left = (probe.weights[:, None, None] * (ops @ rho_t_pinv @ ops.conj().transpose(0, 2, 1))).sum(axis=0)
+    t = povm.traces(left)  # Tr[(left x I_out) Pi_i]
     t = np.where((t < 0.0) & (t > -PSD_TOL), 0.0, t)
     expected = dim_out * rank
     if abs(t.sum() - expected) > 1e-8:
@@ -216,8 +216,9 @@ def coarse_grain(p, t, grouping: Sequence[Iterable[int]]) -> tuple[np.ndarray, n
     if p.shape != t.shape:
         raise DimensionMismatchError("probability and weight vectors differ in length")
     groups = _validate_partition(grouping, p.size)
-    p_merged = np.array([p[list(g)].sum() for g in groups])
-    t_merged = np.array([t[list(g)].sum() for g in groups])
+    members = np.fromiter((i for g in groups for i in g), dtype=int, count=p.size)
+    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    p_merged, t_merged = (np.bincount(owner, weights=x[members], minlength=len(groups)) for x in (p, t))
     return probability_vector(p_merged), t_merged
 
 

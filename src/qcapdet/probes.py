@@ -18,8 +18,7 @@ from .linalg import (
     PROB_TOL,
     RECON_TOL,
     as_complex_matrix,
-    hermitian_eigen,
-    operator_from_double_ket,
+    density_eigen,
     partial_trace_reference,
     validate_density_matrix,
 )
@@ -50,7 +49,7 @@ class BipartiteProbeState:
             raise DimensionMismatchError("weights and operators disagree in length")
         if w.min() < 0.0:
             raise InvalidStateError(f"negative decomposition weight {w.min()}")
-        norm = float(sum(a * np.trace(op.conj().T @ op).real for a, op in zip(w, ops)))
+        norm = float(np.einsum("l,lij,lij->", w, ops.conj(), ops).real)  # sum_l a_l Tr[A_l^dagger A_l]
         if abs(norm - 1.0) > PROB_TOL:
             raise InvalidStateError(f"decomposition normalization {norm} differs from 1")
         sigma = validate_density_matrix(self.sigma)
@@ -120,30 +119,32 @@ def isotropic_probe(d: int, fidelity: float) -> BipartiteProbeState:
 
 def probe_from_density(sigma, label: str = "spectral") -> BipartiteProbeState:
     """Build a probe from a bare density matrix via its spectral decomposition."""
-    sigma = validate_density_matrix(sigma)
+    sigma = as_complex_matrix(sigma)
+    evals, evecs = density_eigen(sigma)
     d = int(round(np.sqrt(sigma.shape[0])))
     if d * d != sigma.shape[0]:
         raise DimensionMismatchError(f"sigma dim {sigma.shape[0]} is not a perfect square")
-    evals, evecs = hermitian_eigen(sigma)
-    cutoff = PINV_CUTOFF * max(evals.max(), 0.0)
-    keep = evals > cutoff
-    weights = evals[keep]
-    ops = np.asarray([operator_from_double_ket(evecs[:, j]) for j in np.nonzero(keep)[0]])
-    weights = weights / weights.sum()  # re-true the trace after dropping dust
+    keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
+    ops = evecs[:, keep].T.reshape(-1, d, d)  # eigenvector j folded as operator_from_double_ket does
+    weights = evals[keep] / evals[keep].sum()  # re-true the trace after dropping dust
     return BipartiteProbeState(d, sigma, weights, ops, label)
 
 
-def reduced_system_state(probe: BipartiteProbeState) -> np.ndarray:
+def system_marginal(probe: BipartiteProbeState) -> np.ndarray:
     """System marginal of the probe, cross-checked between two routes.
 
     Route one traces out the reference from sigma; route two evaluates
-    (sum_l a_l A_l^dagger A_l)^T from the decomposition.  Disagreement
-    signals a corrupted probe.
+    (sum_l a_l A_l^dagger A_l)^T from the decomposition, as one product B^dagger B
+    of the stacked terms B = [sqrt(a_l) A_l].  Disagreement signals a corrupted
+    probe.  Unlike :func:`reduced_system_state`, no density-matrix check.
     """
     direct = partial_trace_reference(probe.sigma, probe.d, probe.d)
-    from_terms = sum(
-        a * (op.conj().T @ op) for a, op in zip(probe.weights, probe.operators)
-    ).T
-    if np.max(np.abs(direct - from_terms)) > RECON_TOL:
+    terms = (np.sqrt(probe.weights)[:, None, None] * probe.operators).reshape(-1, probe.d)
+    if np.max(np.abs(direct - (terms.conj().T @ terms).T)) > RECON_TOL:
         raise InternalConsistencyError("partial trace and decomposition routes disagree")
-    return validate_density_matrix(direct)
+    return direct
+
+
+def reduced_system_state(probe: BipartiteProbeState) -> np.ndarray:
+    """:func:`system_marginal`, checked as a density matrix."""
+    return validate_density_matrix(system_marginal(probe))
