@@ -29,13 +29,13 @@ from .errors import (
     InvalidStateError,
 )
 from .linalg import (
-    PINV_CUTOFF,
     RECON_TOL,
     binary_entropy,
     checked_state_entropy,
     density_eigen,
     double_ket,
     matrix_sqrt,
+    rank_cutoff,
     shannon_entropy,
     validate_density_matrix,
     von_neumann_entropy,
@@ -158,8 +158,7 @@ class Detector:
         rho = system_marginal(probe)
         evals, evecs = density_eigen(rho.T)  # checks rho^T, so rho, as a density matrix
         spectrum = np.clip(evals, 0.0, None)
-        keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
-        inverse = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
+        keep, inverse = rank_cutoff(evals)
         self.probe = probe
         self.povm = povm
         self.rho = rho

@@ -118,18 +118,16 @@ def apply_kraus(ch: QuantumChannel, state: np.ndarray, dim_ref: int) -> np.ndarr
 
 
 def apply_channel(ch: QuantumChannel, rho) -> np.ndarray:
-    """sum_k K rho K^dagger, validated as a density matrix."""
-    rho = validate_density_matrix(rho)
-    if rho.shape[0] != ch.dim_in:
-        raise DimensionMismatchError(f"state dim {rho.shape[0]} != channel input dim {ch.dim_in}")
-    return validate_density_matrix(apply_kraus(ch, rho, 1))
+    """sum_k K rho K^dagger: the extended channel with a one-level reference."""
+    return apply_extended_channel(ch, rho, 1)
 
 
 def apply_extended_channel(ch: QuantumChannel, sigma, dim_ref: int) -> np.ndarray:
-    """Apply identity-on-reference tensor the channel to a bipartite state."""
+    """Apply identity-on-reference tensor the channel to a bipartite state;
+    the input and the output are validated as density matrices."""
     sigma = validate_density_matrix(sigma)
     if sigma.shape[0] != dim_ref * ch.dim_in:
         raise DimensionMismatchError(
-            f"state dim {sigma.shape[0]} does not factor as {dim_ref} x {ch.dim_in}"
+            f"state dim {sigma.shape[0]} != reference x channel input dim = {dim_ref} x {ch.dim_in}"
         )
     return validate_density_matrix(apply_kraus(ch, sigma, dim_ref))

@@ -186,13 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True, shots=True):
-        if config:
-            p.add_argument("--config", required=True, help="path to a JSON run description")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to a JSON run description")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if shots:
-            p.add_argument("--shots", type=int, default=None, help="override the config shot count")
+        p.add_argument("--shots", type=int, default=None, help="override the config shot count")
 
     p = sub.add_parser("certify", help="certify a single probe/channel/povm configuration")
     add_common(p)

@@ -178,6 +178,13 @@ def _descending_eigh(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(evals[order].copy(), evecs[:, order].copy())
 
 
+def rank_cutoff(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one rank rule: which eigenvalues lie above PINV_CUTOFF times the
+    largest, and their inverses, zero for the eigenvalues cut off."""
+    keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
+    return keep, np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
+
+
 def matrix_sqrt(m) -> np.ndarray:
     """Positive-semidefinite square root of a PSD Hermitian matrix."""
     evals, evecs = hermitian_eigen(m)
@@ -196,13 +203,11 @@ def pseudo_inverse(m) -> np.ndarray:
     evals, evecs = hermitian_eigen(m)
     if evals.min() < -PSD_TOL:
         raise InvalidStateError(f"pseudo_inverse: negative eigenvalue {evals.min()}")
-    cutoff = PINV_CUTOFF * max(evals.max(), 0.0)
-    inv = np.where(evals > cutoff, 1.0 / np.where(evals > cutoff, evals, 1.0), 0.0)
+    _, inv = rank_cutoff(evals)
     return (evecs * inv) @ evecs.conj().T
 
 
 def psd_rank(m) -> int:
     """Numerical rank of a PSD matrix, with the same cutoff as pseudo_inverse."""
-    evals = np.linalg.eigvalsh(hermitian_part(as_complex_matrix(m)))
-    cutoff = PINV_CUTOFF * max(evals.max(), 0.0)
-    return int(np.count_nonzero(evals > cutoff))
+    keep, _ = rank_cutoff(np.linalg.eigvalsh(hermitian_part(as_complex_matrix(m))))
+    return int(np.count_nonzero(keep))

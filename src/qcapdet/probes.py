@@ -3,7 +3,7 @@
 A probe is a density operator sigma on reference x system (equal dimensions d)
 written as sum_l a_l |A_l>><<A_l| where |A>> is the double-ket of the d x d
 operator A.  The decomposition is what makes the channel-independent outcome
-weights computable, so every constructor stores one.
+weights computable, so a probe is built from one and sigma follows from it.
 """
 
 from __future__ import annotations
@@ -14,62 +14,58 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError, InvalidStateError
 from .linalg import (
-    PINV_CUTOFF,
     PROB_TOL,
     RECON_TOL,
     as_complex_matrix,
     density_eigen,
     partial_trace_reference,
+    rank_cutoff,
     validate_density_matrix,
 )
 
 
-def _assemble_sigma(weights: np.ndarray, operators: np.ndarray) -> np.ndarray:
-    """sum_l a_l |A_l>><<A_l| from the stacked double-kets of the A_l."""
-    kets = operators.reshape(len(operators), -1)
-    return (kets.T * weights) @ kets.conj()
-
-
 @dataclass(frozen=True)
 class BipartiteProbeState:
-    """Probe sigma on a d x d bipartite space plus its pure decomposition."""
+    """Probe on a d x d bipartite space given by its pure decomposition.
 
-    d: int
-    sigma: np.ndarray
+    d and sigma = sum_l a_l |A_l>><<A_l| are derived when the probe is built.
+    Nonnegative weights and a unit normalization make sigma positive,
+    Hermitian and of unit trace, so sigma itself is not checked again.
+    """
+
     weights: np.ndarray  # shape (L,), nonnegative
     operators: np.ndarray  # shape (L, d, d)
     label: str = field(default="probe", compare=False)
+    d: int = field(init=False)
+    sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
-        ops = np.asarray(self.operators, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1:] != (self.d, self.d):
-            raise DimensionMismatchError(f"operator stack shape {ops.shape} != (L, {self.d}, {self.d})")
+        try:
+            ops = np.asarray(self.operators, dtype=complex)
+        except ValueError as exc:  # ragged: the operators differ in shape
+            raise DimensionMismatchError(f"decomposition operators do not stack: {exc}") from exc
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatchError(f"operator stack shape {ops.shape} is not (L, d, d)")
         if w.shape[0] != ops.shape[0]:
             raise DimensionMismatchError("weights and operators disagree in length")
-        if w.min() < 0.0:
+        if not (np.isfinite(w).all() and np.isfinite(ops).all()):
+            raise InvalidStateError("decomposition contains non-finite entries")
+        if (w < 0.0).any():
             raise InvalidStateError(f"negative decomposition weight {w.min()}")
         norm = float(np.einsum("l,lij,lij->", w, ops.conj(), ops).real)  # sum_l a_l Tr[A_l^dagger A_l]
         if abs(norm - 1.0) > PROB_TOL:
             raise InvalidStateError(f"decomposition normalization {norm} differs from 1")
-        sigma = validate_density_matrix(self.sigma)
-        if sigma.shape[0] != self.d * self.d:
-            raise DimensionMismatchError(f"sigma dim {sigma.shape[0]} != d^2 = {self.d * self.d}")
-        if np.max(np.abs(sigma - _assemble_sigma(w, ops))) > RECON_TOL:
-            raise InvalidStateError("sigma does not match its pure decomposition")
-        object.__setattr__(self, "sigma", sigma)
+        kets = ops.reshape(len(ops), -1)  # the double-kets |A_l>>
+        object.__setattr__(self, "d", ops.shape[1])
+        object.__setattr__(self, "sigma", (kets.T * w) @ kets.conj())
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "operators", ops)
 
 
 def custom_probe(weights, operators, label: str = "custom") -> BipartiteProbeState:
     """Assemble a probe from decomposition terms (a_l, A_l)."""
-    ops = np.asarray([as_complex_matrix(op) for op in operators], dtype=complex)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise DimensionMismatchError("decomposition operators must be square and equal-sized")
-    sigma = _assemble_sigma(w, ops)
-    return BipartiteProbeState(ops.shape[1], sigma, w, ops, label)
+    return BipartiteProbeState(weights, operators, label)
 
 
 def max_entangled_probe(d: int) -> BipartiteProbeState:
@@ -77,7 +73,7 @@ def max_entangled_probe(d: int) -> BipartiteProbeState:
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
     op = np.eye(d, dtype=complex) / np.sqrt(d)
-    return custom_probe([1.0], [op], label=f"max_entangled(d={d})")
+    return BipartiteProbeState([1.0], [op], f"max_entangled(d={d})")
 
 
 def bell_diagonal_probe(q, label: str | None = None) -> BipartiteProbeState:
@@ -93,13 +89,7 @@ def bell_diagonal_probe(q, label: str | None = None) -> BipartiteProbeState:
     if abs(q.sum() - 1.0) > PROB_TOL:
         raise InvalidStateError(f"Bell weights sum to {q.sum()}, not 1")
     ops = weyl_unitaries(d) / np.sqrt(d)
-    return BipartiteProbeState(
-        d,
-        _assemble_sigma(q.reshape(-1), ops),
-        q.reshape(-1),
-        ops,
-        label or f"bell_diagonal(d={d})",
-    )
+    return BipartiteProbeState(q.reshape(-1), ops, label or f"bell_diagonal(d={d})")
 
 
 def isotropic_probe(d: int, fidelity: float) -> BipartiteProbeState:
@@ -118,16 +108,23 @@ def isotropic_probe(d: int, fidelity: float) -> BipartiteProbeState:
 
 
 def probe_from_density(sigma, label: str = "spectral") -> BipartiteProbeState:
-    """Build a probe from a bare density matrix via its spectral decomposition."""
+    """Build a probe from a bare density matrix via its spectral decomposition.
+
+    sigma comes from outside the program, so it is checked as a density
+    matrix and against the probe assembled from its kept terms.
+    """
     sigma = as_complex_matrix(sigma)
     evals, evecs = density_eigen(sigma)
     d = int(round(np.sqrt(sigma.shape[0])))
     if d * d != sigma.shape[0]:
         raise DimensionMismatchError(f"sigma dim {sigma.shape[0]} is not a perfect square")
-    keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
+    keep, _ = rank_cutoff(evals)
     ops = evecs[:, keep].T.reshape(-1, d, d)  # eigenvector j folded as operator_from_double_ket does
     weights = evals[keep] / evals[keep].sum()  # re-true the trace after dropping dust
-    return BipartiteProbeState(d, sigma, weights, ops, label)
+    probe = BipartiteProbeState(weights, ops, label)
+    if np.max(np.abs(sigma - probe.sigma)) > RECON_TOL:
+        raise InvalidStateError("sigma does not match its pure decomposition")
+    return probe
 
 
 def system_marginal(probe: BipartiteProbeState) -> np.ndarray:

@@ -3,19 +3,91 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcapdet import (
+    BipartiteProbeState,
+    Detector,
     bell_diagonal_probe,
+    bell_povm,
     custom_probe,
+    depolarizing_channel,
     isotropic_probe,
     max_entangled_probe,
     probe_from_density,
     reduced_system_state,
     weyl_unitary,
 )
-from qcapdet.errors import InvalidStateError
+from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import double_ket
 from randinst import random_probe
 
 from test_linalg import brute_force_partial_trace
+
+
+def isotropic_terms():
+    """Writable copies of the weights and operators of isotropic_probe(2, 0.9)."""
+    probe = isotropic_probe(2, 0.9)
+    return probe.weights.copy(), probe.operators.copy()
+
+
+class TestConstructor:
+    """The probe is its decomposition: d and sigma are derived, and each
+    check raises when the probe is built."""
+
+    def test_derives_d_and_sigma(self):
+        w, ops = isotropic_terms()
+        probe = BipartiteProbeState(w, ops)
+        assert probe.d == 2
+        assert np.array_equal(probe.sigma, isotropic_probe(2, 0.9).sigma)
+        assert probe.sigma.shape == (4, 4)
+
+    def test_ragged_stack(self):
+        with pytest.raises(DimensionMismatchError, match="do not stack"):
+            BipartiteProbeState([0.5, 0.5], [np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(3)])
+
+    @pytest.mark.parametrize(
+        "operators",
+        [[np.ones((2, 3)) / np.sqrt(6)], np.eye(2) / np.sqrt(2), []],
+        ids=["non-square", "one matrix, not a stack", "empty"],
+    )
+    def test_stack_shape(self, operators):
+        with pytest.raises(DimensionMismatchError, match="operator stack shape"):
+            BipartiteProbeState([1.0], operators)
+
+    def test_lengths_agree(self):
+        w, ops = isotropic_terms()
+        with pytest.raises(DimensionMismatchError, match="disagree in length"):
+            BipartiteProbeState(w[:-1], ops)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator(self, bad):
+        w, ops = isotropic_terms()
+        ops[1, 0, 1] = bad
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            BipartiteProbeState(w, ops)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight(self, bad):
+        w, ops = isotropic_terms()
+        w[1] = bad
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            BipartiteProbeState(w, ops)
+
+    def test_nan_never_reaches_a_bound(self):
+        # with NaN passing the comparisons, Detector(...).certify(...) gave qdet = nan
+        w, ops = isotropic_terms()
+        ops[1, 0, 1] = np.nan
+        with pytest.raises(InvalidStateError):
+            Detector(BipartiteProbeState(w, ops), bell_povm(2)).certify(depolarizing_channel(2, 0.1))
+
+    def test_negative_weight(self):
+        w, ops = isotropic_terms()
+        w[0], w[1] = w[0] + 2 * w[1], -w[1]  # the sum stays 1
+        with pytest.raises(InvalidStateError, match="negative"):
+            BipartiteProbeState(w, ops)
+
+    def test_normalization(self):
+        w, ops = isotropic_terms()
+        with pytest.raises(InvalidStateError, match="normalization"):
+            BipartiteProbeState(1.01 * w, ops)
 
 
 class TestMaxEntangled:

@@ -218,8 +218,7 @@ class TestProbeStack:
         probe = named_probes()[index]
         weights = 1.01 * probe.weights
         residual = abs(normalization_reference(weights, probe.operators) - 1.0)
-        build = lambda: BipartiteProbeState(probe.d, probe.sigma, weights, probe.operators)
-        monkeypatch.setattr(probes_module, "RECON_TOL", 1.0)  # sigma no longer matches the scaled terms
+        build = lambda: BipartiteProbeState(weights, probe.operators)
         bracket(build, probes_module, "PROB_TOL", residual, InvalidStateError, monkeypatch, "normalization")
 
     @pytest.mark.parametrize("index", range(len(named_probes())))
@@ -233,6 +232,22 @@ class TestProbeStack:
         residual = np.max(np.abs(direct - from_terms_reference(probe)))
         build = lambda: system_marginal(probe)
         bracket(build, probes_module, "RECON_TOL", residual, InternalConsistencyError, monkeypatch)
+
+    def test_probe_from_density_checks_its_input_against_the_probe(self, monkeypatch):
+        # an eigenvalue of -5e-11 passes the density check (PSD_TOL is 1e-10) and is then dropped
+        rng = np.random.default_rng(12)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        basis, _ = np.linalg.qr(g)
+        evals = np.array([0.5, 0.3, 0.2 + 5e-11, -5e-11])
+        sigma = (basis * evals) @ basis.conj().T
+        sigma = (sigma + sigma.conj().T) / 2
+        _, weights, ops = probe_from_density_reference(sigma)
+        assert len(weights) == 3
+        rebuilt = sum(a * np.outer(op.reshape(-1), op.reshape(-1).conj()) for a, op in zip(weights, ops))
+        residual = np.max(np.abs(sigma - rebuilt))
+        assert 1e-11 < residual < 1e-9
+        build = lambda: probe_from_density(sigma)
+        bracket(build, probes_module, "RECON_TOL", residual, InvalidStateError, monkeypatch, "does not match")
 
     @pytest.mark.parametrize("index", range(len(named_probes())))
     def test_probe_from_density_matches_the_loop(self, index):
@@ -316,9 +331,10 @@ class TestCoarseGrain:
 
 
 class TestDecompositionCount:
-    """Each decomposition runs once: Detector makes one eigh of rho^T; a
-    certify call makes the two checks inside apply_channel, S[E(rho)], the
-    joint output check and the purified oracle."""
+    """Each decomposition runs once: building a probe makes none; Detector
+    makes one eigh of rho^T; a certify call makes the two checks inside
+    apply_channel, S[E(rho)], the joint output check and the purified
+    oracle."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -340,6 +356,10 @@ class TestDecompositionCount:
         count.clear()
         Detector(probe, povm)
         assert count == ["eigh"]
+
+    def test_probe_makes_none(self, count):
+        isotropic_probe(3, 0.9)
+        assert count == []
 
     def test_certify_makes_five(self, count):
         detector = Detector(isotropic_probe(3, 0.9), bell_povm(3))
