@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, apply_channel, apply_extended_channel, apply_kraus
+from .channels import QuantumChannel, apply_channel, apply_extended_channel, apply_transfers, transfer_input
 from .errors import (
+    CertificationError,
     DegenerateMeasurementError,
     DimensionMismatchError,
     InternalConsistencyError,
@@ -31,12 +33,14 @@ from .errors import (
 from .linalg import (
     RECON_TOL,
     binary_entropy,
-    checked_state_entropy,
+    checked_state_entropies,
     density_eigen,
+    density_spectra,
     double_ket,
     matrix_sqrt,
     rank_cutoff,
     shannon_entropy,
+    spectral_entropies,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -149,9 +153,9 @@ class Detector:
     Built and checked once: the marginal rho (two routes agree), then one
     eigendecomposition of rho^T giving its density-matrix check, S(rho), the
     purification sqrt(rho^T), the pseudo-inverse and the rank, and t with its
-    sum rule.  Each :meth:`certify` call checks every channel output state,
-    the outcome distribution, and the chain qdet <= I_c against the exact
-    oracle.
+    sum rule.  Every channel :meth:`certify_many` evaluates has its output
+    states, its outcome distribution and the chain qdet <= I_c against the
+    exact oracle checked.
     """
 
     def __init__(self, probe: BipartiteProbeState, povm: Povm):
@@ -159,6 +163,7 @@ class Detector:
         evals, evecs = density_eigen(rho.T)  # checks rho^T, so rho, as a density matrix
         spectrum = np.clip(evals, 0.0, None)
         keep, inverse = rank_cutoff(evals)
+        d = probe.d
         self.probe = probe
         self.povm = povm
         self.rho = rho
@@ -167,15 +172,44 @@ class Detector:
         psi = double_ket(self.root)
         self.purification = np.outer(psi, psi.conj())
         self.t = outcome_weights(probe, povm, (evecs * inverse) @ evecs.conj().T, int(keep.sum()))
+        # sigma and the purification as every channel's transfer matrix reads them
+        self.probe_pairs = transfer_input(probe.sigma, d, d)
+        self.purification_pairs = transfer_input(self.purification, d, d)
 
     def certify(self, ch: QuantumChannel, optimize: bool = False) -> CertificationResult:
         """Bound for one channel; ``optimize`` searches outcome coarse-grainings."""
+        return self.certify_many([ch], optimize)[0]
+
+    def certify_many(self, channels: Sequence[QuantumChannel], optimize: bool = False) -> list[CertificationResult]:
+        """Bound for each of a sequence of channels sharing (dim_in, dim_out),
+        their joint and purified outputs each formed and checked as one stack.
+        An error names the index and label of the first failing channel."""
+        channels = tuple(channels)
+        if not channels:
+            return []
         d = self.probe.d
-        output_entropy = checked_state_entropy(apply_channel(ch, self.rho))  # checks dim_in and E(rho)
-        if self.povm.dim != d * ch.dim_out:
-            raise DimensionMismatchError(f"POVM dim {self.povm.dim} != reference x output = {d * ch.dim_out}")
-        joint = validate_density_matrix(apply_kraus(ch, self.probe.sigma, d))
-        p = self.povm.probabilities(joint)
+        dims = {(ch.dim_in, ch.dim_out) for ch in channels}
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"channels differ in (dim_in, dim_out): {sorted(dims)}")
+        ((dim_in, dim_out),) = dims
+        if dim_in != d:
+            raise DimensionMismatchError(f"channel input dim {dim_in} != probe dim {d}")
+        if self.povm.dim != d * dim_out:
+            raise DimensionMismatchError(f"POVM dim {self.povm.dim} != reference x output = {d * dim_out}")
+        names = [f"channel {i} ({ch.label})" for i, ch in enumerate(channels)]
+        outputs = [_named(name, apply_channel, ch, self.rho) for name, ch in zip(names, channels)]  # checks each E(rho)
+        output_entropies = checked_state_entropies(np.array(outputs))
+        transfers = np.array([ch.transfer for ch in channels])
+        joint = apply_transfers(transfers, self.probe_pairs, d)
+        density_spectra(joint, names)
+        probabilities = self.povm.probabilities(joint, names)
+        purified = apply_transfers(transfers, self.purification_pairs, d)
+        exchange_entropies = spectral_entropies(density_spectra(purified, names))
+        rows = zip(names, channels, probabilities, output_entropies, exchange_entropies)
+        return [_named(name, self._result, ch, p, s, s - s_e, optimize) for name, ch, p, s, s_e in rows]
+
+    def _result(self, ch, p, output_entropy: float, oracle: float, optimize: bool) -> CertificationResult:
+        """The bound from one channel's checked statistics, checked against its oracle."""
         if optimize:
             qdet, grouping, pm, tm = _best_grouping(p, self.t, output_entropy)
         else:
@@ -184,12 +218,8 @@ class Detector:
             pm, tm = p, self.t
         # t . p > 0 was checked by qdet_from_statistics; merging keeps t . p
         prob_entropy, log_tp = shannon_entropy(pm), math.log2(float(tm @ pm))
-        purified = apply_kraus(ch, self.purification, d)
-        oracle = output_entropy - von_neumann_entropy(purified)
         if qdet > oracle + CHAIN_TOL:
-            raise InternalConsistencyError(
-                f"detected bound {qdet} exceeds the coherent information {oracle}"
-            )
+            raise InternalConsistencyError(f"detected bound {qdet} exceeds the coherent information {oracle}")
         return CertificationResult(
             qdet=qdet,
             output_entropy=output_entropy,
@@ -204,6 +234,14 @@ class Detector:
             channel_label=ch.label,
             povm_label=self.povm.name,
         )
+
+
+def _named(name: str, fn, *args):
+    """fn(*args), a CertificationError it raises prefixed by a channel's name, keeping its type."""
+    try:
+        return fn(*args)
+    except CertificationError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def certify(

@@ -7,8 +7,9 @@ one level; the flag state sits at index ``d`` of the output basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -16,15 +17,16 @@ from .errors import DimensionMismatchError, InvalidStateError
 from .linalg import PROB_TOL, TP_TOL, validate_density_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map given by Kraus operators,
-    checked as one (n, dim_out, dim_in) stack when built."""
+    checked as one (n, dim_out, dim_in) stack when built.  Channels compare
+    and hash by identity."""
 
     dim_in: int
     dim_out: int
     kraus: tuple[np.ndarray, ...]
-    label: str = field(default="channel", compare=False)
+    label: str = "channel"
 
     def __post_init__(self):
         if not self.kraus:
@@ -51,13 +53,16 @@ class QuantumChannel:
         return (flat @ flat.conj().T).reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
 
 
+@lru_cache(maxsize=None)
 def weyl_unitaries(d: int) -> np.ndarray:
     """All d^2 shift-and-phase unitaries U_mn = sum_k exp(2 pi i k m / d)
-    |k><(k+n) mod d|, stacked in (m, n) order: entry m * d + n is U_mn."""
+    |k><(k+n) mod d|, stacked in (m, n) order: entry m * d + n is U_mn.
+    Built once per d and returned read-only."""
     k = np.arange(d)
     m, n = np.divmod(np.arange(d * d), d)
     u = np.zeros((d * d, d, d), dtype=complex)
     u[np.arange(d * d)[:, None], k, (k + n[:, None]) % d] = np.exp(2j * np.pi * m[:, None] * k / d)
+    u.setflags(write=False)
     return u
 
 
@@ -108,13 +113,25 @@ def erasure_channel(d: int, p: float) -> QuantumChannel:
     return QuantumChannel(d, d + 1, tuple(kraus), label=f"erasure(d={d}, p={p:g})")
 
 
+def transfer_input(state: np.ndarray, dim_ref: int, dim_in: int) -> np.ndarray:
+    """A state on reference x input as the (dim_in^2, dim_ref^2) matrix that
+    transfer matrices act on; channel-independent, so form it once per state."""
+    return state.reshape(dim_ref, dim_in, dim_ref, dim_in).transpose(1, 3, 0, 2).reshape(dim_in**2, dim_ref**2)
+
+
+def apply_transfers(transfers: np.ndarray, pairs: np.ndarray, dim_ref: int) -> np.ndarray:
+    """Unchecked (I_ref x E)(state) for a transfer matrix (dim_out^2, dim_in^2)
+    or a stack (N, dim_out^2, dim_in^2) of them, all in one product, on a
+    state given by :func:`transfer_input`; no I_ref x K is formed."""
+    o = math.isqrt(transfers.shape[-2])
+    out = (transfers @ pairs).reshape(-1, o, o, dim_ref, dim_ref).transpose(0, 3, 1, 4, 2)
+    return out.reshape(transfers.shape[:-2] + (dim_ref * o, dim_ref * o))
+
+
 def apply_kraus(ch: QuantumChannel, state: np.ndarray, dim_ref: int) -> np.ndarray:
-    """Unchecked (I_ref x E)(state) through the channel's transfer matrix,
-    with no I_ref x K formed.  With dim_ref = 1 this is E(state)."""
-    o, i = ch.dim_out, ch.dim_in
-    pairs = state.reshape(dim_ref, i, dim_ref, i).transpose(1, 3, 0, 2).reshape(i * i, dim_ref**2)
-    out = (ch.transfer @ pairs).reshape(o, o, dim_ref, dim_ref).transpose(2, 0, 3, 1)
-    return out.reshape(dim_ref * o, dim_ref * o)
+    """Unchecked (I_ref x E)(state) through the channel's transfer matrix.
+    With dim_ref = 1 this is E(state)."""
+    return apply_transfers(ch.transfer, transfer_input(state, dim_ref, ch.dim_in), dim_ref)
 
 
 def apply_channel(ch: QuantumChannel, rho) -> np.ndarray:

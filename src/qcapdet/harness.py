@@ -46,6 +46,7 @@ from .sampling import ShotRecord, derive_subseed, sample_outcomes
 MAX_DIM = 16  # largest `d` a config may ask for; linalg's tolerances hold below ~16
 MAX_STEPS = 10**6  # largest sweep grid
 MAX_SHOTS = 10**9  # most draws one command may ask for; 7-15 s of sampling
+CERTIFY_CHUNK = 1 << 14  # complex entries of one certify_many call's stacked joint output in a sweep
 
 
 def _reader(accepts, expected: str, convert=lambda value: value):
@@ -245,22 +246,33 @@ def run_point(
     seed: int = 0,
 ) -> tuple[CertificationResult, float | None, ShotRecord | None]:
     """Certify one configuration, optionally with a finite-shot estimate."""
-    return _evaluate(Detector(probe, povm), channel, optimize, shots, seed)
-
-
-def _evaluate(detector: Detector, channel: QuantumChannel, optimize: bool, shots: int, seed: int):
+    detector = Detector(probe, povm)
     result = detector.certify(channel, optimize=optimize)
+    return (result, *_estimate(detector, result, shots, seed))
+
+
+def _estimate(detector: Detector, result: CertificationResult, shots: int, seed: int):
+    """Finite-shot estimate and record of a certified point; none without shots."""
     if shots <= 0:
-        return result, None, None
+        return None, None
     record = sample_outcomes(result.probabilities, shots, seed)
-    return result, estimate_qdet(record, detector.t, result.output_entropy), record
+    return estimate_qdet(record, detector.t, result.output_entropy), record
+
+
+def _chunks(values, dim: int):
+    """Consecutive (start, values) slices of a grid, each small enough that
+    its stacked joint output, dim x dim per point, holds about CERTIFY_CHUNK
+    entries; at least one point each."""
+    size = max(1, CERTIFY_CHUNK // dim**2)
+    for start in range(0, len(values), size):
+        yield start, values[start : start + size]
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One certification row per grid point, in grid order.  A 'p' sweep
-    keeps one detector; an 'F' sweep keeps one channel.  The swept field
+    keeps one detector and certifies its channels in chunks, one
+    certify_many call each; an 'F' sweep keeps one channel.  The swept field
     needs no value in the config; it must be a field of the section's type."""
-    rows = []
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     make_channel, channel_args = read_spec(_CHANNELS, {**spec.channel, spec.variable: spec.start}, "channel")
     make_probe, probe_args = read_spec(_PROBES, {**spec.probe, spec.variable: spec.start}, "probe")
@@ -270,28 +282,47 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         raise ConfigError(f"sweeping {spec.variable!r} needs a {section} type with a {spec.variable!r} field")
     probe_ok = spec.probe["type"] in ("isotropic", "max_entangled")
     closed_form = _CLOSED_FORMS.get((spec.channel["type"], spec.povm["type"])) if probe_ok else None
-    detector: Detector | None = None
-    for i, value in enumerate(grid):
-        swept_args[spec.variable] = float(value)
-        if detector is None or spec.variable == "p":
-            channel = _make("channel", make_channel, channel_args)
-        if detector is None or spec.variable == "F":
-            probe = _make("probe", make_probe, probe_args)
-            povm = _make("povm", make_povm, povm_args, probe.d) if detector is None else detector.povm
-            detector = Detector(probe, povm)
-        d = detector.probe.d
+
+    def swept(value: float, make, args: dict, where: str):
+        args[spec.variable] = value
+        return _make(where, make, args)
+
+    def row(i: int, value: float, detector: Detector, result: CertificationResult) -> dict:
         seed = derive_subseed(spec.seed, i) if spec.shots > 0 else 0  # exact points draw nothing
-        result, estimate, _ = _evaluate(detector, channel, spec.optimize, spec.shots, seed)
-        row: dict = {spec.variable: float(value), "qdet": result.qdet}
-        noise, fidelity = channel_args.get("p", 0.0), probe_args.get("F", 1.0)
+        estimate, _ = _estimate(detector, result, spec.shots, seed)
+        out: dict = {spec.variable: value, "qdet": result.qdet}
+        d = detector.probe.d
+        noise = value if spec.variable == "p" else channel_args.get("p", 0.0)
+        fidelity = value if spec.variable == "F" else probe_args.get("F", 1.0)
         if closed_form is not None:
-            row["qdet_closed"] = closed_form(d, noise, fidelity)
+            out["qdet_closed"] = closed_form(d, noise, fidelity)
         if spec.channel["type"] == "erasure":
-            row["q_exact"] = erasure_exact_capacity(d, noise)
+            out["q_exact"] = erasure_exact_capacity(d, noise)
         if spec.shots > 0:
-            row["qdet_estimate"] = estimate
-            row["shots"] = spec.shots
-        rows.append(row)
+            out["qdet_estimate"] = estimate
+            out["shots"] = spec.shots
+        return out
+
+    values = [float(value) for value in grid]
+    rows = []
+    if spec.variable == "p":
+        first = swept(values[0], make_channel, channel_args, "channel")  # checked before the detector is built
+        probe = _make("probe", make_probe, probe_args)
+        detector = Detector(probe, _make("povm", make_povm, povm_args, probe.d))
+        for start, chunk in _chunks(values, detector.povm.dim):
+            channels = [
+                first if start + j == 0 else swept(v, make_channel, channel_args, "channel") for j, v in enumerate(chunk)
+            ]
+            results = detector.certify_many(channels, spec.optimize)
+            rows += [row(start + j, v, detector, r) for j, (v, r) in enumerate(zip(chunk, results))]
+    else:
+        channel = _make("channel", make_channel, channel_args)
+        povm = None
+        for i, value in enumerate(values):
+            probe = swept(value, make_probe, probe_args, "probe")
+            povm = _make("povm", make_povm, povm_args, probe.d) if povm is None else povm
+            detector = Detector(probe, povm)
+            rows.append(row(i, value, detector, detector.certify(channel, spec.optimize)))
     return rows
 
 
@@ -299,7 +330,9 @@ FIGURE_FIDELITIES = (1.0, 0.98, 0.95, 0.90)
 
 
 def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
-    """Grid data behind the two reference plots (depolarizing and erasure)."""
+    """Grid data behind the two reference plots (depolarizing and erasure):
+    each fidelity's detector certifies the grid's channels with one
+    certify_many call per chunk (one in all for the default grid)."""
     if which == 1:
         grid = np.linspace(0.0, 0.25, steps)
         povm = bell_povm(2)
@@ -314,14 +347,14 @@ def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
         raise ConfigError(f"unknown figure {which}; pick 1 or 2")
     detectors = {f: Detector(isotropic_probe(2, f), povm) for f in FIGURE_FIDELITIES}
     rows = []
-    for p in grid:
-        row: dict = {"p": float(p)}
-        if which == 2:
-            row["q_exact"] = erasure_exact_capacity(2, float(p))
-        channel = make_channel(float(p))
-        for f, detector in detectors.items():
-            row[f"qdet_F{f:.2f}"] = detector.certify(channel).qdet
-        rows.append(row)
+    for _, chunk in _chunks([float(p) for p in grid], povm.dim):
+        channels = [make_channel(p) for p in chunk]
+        qdets = {f: [r.qdet for r in detector.certify_many(channels)] for f, detector in detectors.items()}
+        for j, p in enumerate(chunk):
+            row: dict = {"p": p}
+            if which == 2:
+                row["q_exact"] = erasure_exact_capacity(2, p)
+            rows.append(row | {f"qdet_F{f:.2f}": qdets[f][j] for f in FIGURE_FIDELITIES})
     return columns, rows
 
 

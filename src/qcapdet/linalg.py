@@ -8,7 +8,7 @@ in bits (base-2 logarithms), with the convention 0*log2(0) = 0.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,29 +37,40 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Return (M + M^dagger) / 2."""
-    return (m + m.conj().T) / 2.0
+    """Return (M + M^dagger) / 2, for each matrix of a stack (..., n, n)."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def _density_spectrum(rho: np.ndarray, vectors: bool = False):
-    """Eigenvalues of a complex matrix after checking that it is a density
-    matrix: square, Hermitian, of unit trace and positive semidefinite.  With
-    ``vectors``, the check's one decomposition, as hermitian_eigen gives it."""
-    if rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
-    if not is_hermitian(rho):
-        raise InvalidStateError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise InvalidStateError(f"density matrix trace {tr} differs from 1")
-    spectrum = _descending_eigh(rho) if vectors else None
-    evals = spectrum.eigenvalues if vectors else np.linalg.eigvalsh(hermitian_part(rho))
-    if evals.min() < -PSD_TOL:
-        raise InvalidStateError(f"density matrix has negative eigenvalue {evals.min()}")
+def density_spectra(stack: np.ndarray, names: Sequence[str] = (), vectors: bool = False):
+    """Eigenvalues of each matrix of a complex stack (..., n, n), one eigvalsh
+    for the whole stack, after checking that each is a density matrix:
+    square, Hermitian, of unit trace and positive semidefinite.  An error
+    names the first failing matrix of a stack by ``names``.  With ``vectors``
+    (one matrix), the check's one decomposition, as hermitian_eigen gives it."""
+    n = stack.shape[-1]
+    if stack.shape[-2] != n:
+        raise DimensionMismatchError(f"density matrix must be square, got {stack.shape}")
+    adjoint = stack.conj().swapaxes(-1, -2)
+    spectrum = _descending_eigh(stack) if vectors else None
+    evals = spectrum.eigenvalues if vectors else np.linalg.eigvalsh((stack + adjoint) / 2.0)
+    trace = stack.trace(axis1=-2, axis2=-1)
+    asymmetry = np.abs(stack - adjoint)
+    if asymmetry.max() > HERMITIAN_TOL or abs(trace - 1.0).max() > TRACE_TOL or evals.min() < -PSD_TOL:
+        faults = np.reshape(  # (check, matrix)
+            (asymmetry.max(axis=(-2, -1)) > HERMITIAN_TOL, abs(trace - 1.0) > TRACE_TOL, evals.min(axis=-1) < -PSD_TOL),
+            (3, -1),
+        )
+        k = int(np.argmax(faults.any(axis=0)))  # the first failing matrix, at its first failing check
+        messages = (
+            "density matrix is not Hermitian within tolerance",
+            f"density matrix trace {trace.reshape(-1)[k]} differs from 1",
+            f"density matrix has negative eigenvalue {evals.reshape(-1, n)[k].min()}",
+        )
+        raise InvalidStateError((f"{names[k]}: " if names else "") + messages[int(np.argmax(faults[:, k]))])
     return spectrum if vectors else evals
 
 
@@ -69,18 +80,31 @@ def validate_density_matrix(rho) -> np.ndarray:
     Raises InvalidStateError if any invariant fails beyond tolerance.
     """
     rho = as_complex_matrix(rho)
-    _density_spectrum(rho)
+    density_spectra(rho)
     return rho
+
+
+def probability_vectors(p: np.ndarray, names: Sequence[str] = ()) -> np.ndarray:
+    """Validate each row (last axis) of a real array as a probability vector
+    and clamp it to [0, 1] entrywise.  An error names the first failing row
+    by ``names``."""
+    if p.min() < -PROB_TOL or p.max() > 1.0 + PROB_TOL or np.abs(p.sum(axis=-1) - 1.0).max() > PROB_TOL:
+        low, high, total = p.min(axis=-1), p.max(axis=-1), p.sum(axis=-1)
+        faults = np.reshape(((low < -PROB_TOL) | (high > 1.0 + PROB_TOL), abs(total - 1.0) > PROB_TOL), (2, -1))
+        k = int(np.argmax(faults.any(axis=0)))  # the first failing row
+        low, high, total = (np.reshape(x, -1)[k] for x in (low, high, total))
+        message = (
+            f"probability entries outside [0,1]: min={low}, max={high}"
+            if faults[0, k]
+            else f"probabilities sum to {total}, not 1"
+        )
+        raise InvalidStateError((f"{names[k]}: " if names else "") + message)
+    return p.clip(0.0, 1.0)
 
 
 def probability_vector(values) -> np.ndarray:
     """Validate and clamp a probability vector to [0, 1] entrywise."""
-    p = np.asarray(values, dtype=float).reshape(-1)
-    if p.min() < -PROB_TOL or p.max() > 1.0 + PROB_TOL:
-        raise InvalidStateError(f"probability entries outside [0,1]: min={p.min()}, max={p.max()}")
-    if abs(p.sum() - 1.0) > PROB_TOL:
-        raise InvalidStateError(f"probabilities sum to {p.sum()}, not 1")
-    return np.clip(p, 0.0, 1.0)
+    return probability_vectors(np.asarray(values, dtype=float).reshape(-1))
 
 
 def _entropy_bits(spectrum: np.ndarray) -> float:
@@ -89,26 +113,32 @@ def _entropy_bits(spectrum: np.ndarray) -> float:
     x = x[x > 0.0]
     if x.size == 0:
         return 0.0
-    return float(-np.sum(x * np.log2(x)))
+    return float(-(x * np.log2(x)).sum())
 
 
 def density_eigen(rho) -> SpectralDecomposition:
     """Check rho as validate_density_matrix does and return its eigenvalues,
     descending, with their eigenvectors, all from one decomposition."""
-    return _density_spectrum(as_complex_matrix(rho), vectors=True)
+    return density_spectra(as_complex_matrix(rho), vectors=True)
 
 
 def von_neumann_entropy(rho) -> float:
     """Spectral entropy of a density matrix, in bits; checked as by
     validate_density_matrix, from the same eigenvalues."""
-    evals = _density_spectrum(as_complex_matrix(rho))
-    return _entropy_bits(np.clip(evals, 0.0, None))
+    return _entropy_bits(density_spectra(as_complex_matrix(rho)).clip(0.0, None))
 
 
-def checked_state_entropy(rho: np.ndarray) -> float:
-    """von_neumann_entropy of a state that validate_density_matrix has
-    already passed, without checking it again."""
-    return _entropy_bits(np.clip(np.linalg.eigvalsh(hermitian_part(rho)), 0.0, None))
+def spectral_entropies(evals: np.ndarray) -> list[float]:
+    """Entropy, in bits, of each row of a stack of spectra (N, n) that a
+    density check has passed."""
+    return [_entropy_bits(row) for row in evals.clip(0.0, None)]
+
+
+def checked_state_entropies(stack: np.ndarray) -> list[float]:
+    """von_neumann_entropy of each state of a stack (N, n, n) that
+    validate_density_matrix has already passed, without checking it again:
+    one eigvalsh for the stack."""
+    return spectral_entropies(np.linalg.eigvalsh(hermitian_part(stack)))
 
 
 def shannon_entropy(p) -> float:

@@ -26,6 +26,7 @@ from .linalg import (
     TP_TOL,
     as_complex_matrix,
     probability_vector,
+    probability_vectors,
     pseudo_inverse,
     psd_rank,
 )
@@ -97,15 +98,21 @@ class Povm:
 
     def traces(self, op: np.ndarray) -> np.ndarray:
         """Re Tr[op Pi_i] for every element, as sum_j b_j^dagger op b_j over
-        the columns b_j of B_i.  An op of side k < dim is read as op x
-        I_(dim/k), through a reshape of the factors."""
-        applied = (op @ self.factors.reshape(len(op), -1)).reshape(self.factors.shape)
-        columns = np.einsum("aj,aj->j", self.factors.conj(), applied).real
-        return np.bincount(self.owner, weights=columns, minlength=len(self))
+        the columns b_j of B_i, for an op or a stack (..., k, k) of them in
+        one product.  An op of side k < dim is read as op x I_(dim/k),
+        through a reshape of the factors."""
+        k = op.shape[-1]
+        applied = (op @ self.factors.reshape(k, -1)).reshape(op.shape[:-2] + self.factors.shape)
+        columns = np.einsum("aj,...aj->...j", self.factors.conj(), applied).real
+        rows = columns.size // len(self.owner)  # one owner sum for all rows, their bins offset by row
+        bins = self.owner if rows == 1 else (self.owner + len(self) * np.arange(rows)[:, None]).reshape(-1)
+        sums = np.bincount(bins, weights=columns.reshape(-1), minlength=rows * len(self))
+        return sums.reshape(op.shape[:-2] + (len(self),))
 
-    def probabilities(self, state: np.ndarray) -> np.ndarray:
-        """Outcome distribution Tr[state Pi_i], checked as a probability vector."""
-        return probability_vector(self.traces(state))
+    def probabilities(self, state: np.ndarray, names: Sequence[str] = ()) -> np.ndarray:
+        """Outcome distribution Tr[state Pi_i] of a state, or of each state
+        of a stack, checked as probability vectors; see probability_vectors."""
+        return probability_vectors(self.traces(state), names)
 
     @cached_property
     def matrix(self) -> np.ndarray:

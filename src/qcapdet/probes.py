@@ -24,18 +24,19 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteProbeState:
     """Probe on a d x d bipartite space given by its pure decomposition.
 
     d and sigma = sum_l a_l |A_l>><<A_l| are derived when the probe is built.
     Nonnegative weights and a unit normalization make sigma positive,
     Hermitian and of unit trace, so sigma itself is not checked again.
+    Probes compare and hash by identity.
     """
 
     weights: np.ndarray  # shape (L,), nonnegative
     operators: np.ndarray  # shape (L, d, d)
-    label: str = field(default="probe", compare=False)
+    label: str = "probe"
     d: int = field(init=False)
     sigma: np.ndarray = field(init=False)
 

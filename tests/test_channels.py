@@ -65,6 +65,21 @@ class TestWeyl:
                 assert np.array_equal(stack[m * d + n], u)
                 assert np.array_equal(weyl_unitary(d, m, n), u)
 
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_stack_is_built_once_and_read_only(self, d):
+        stack = weyl_unitaries(d)
+        assert weyl_unitaries(d) is stack
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+
+    def test_single_unitary_is_a_writable_copy(self):
+        u = weyl_unitary(3, 1, 2)
+        assert u.flags.writeable and u.base is None
+        u[:] = 0.0
+        assert np.array_equal(weyl_unitary(3, 1, 2), weyl_unitaries(3)[5])
+        assert np.abs(weyl_unitaries(3)[5]).sum() == 3.0
+
     def test_index_range(self):
         with pytest.raises(ValueError):
             weyl_unitary(2, 2, 0)
@@ -219,3 +234,18 @@ class TestExtended:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             apply_extended_channel(depolarizing_channel(2, 0.1), np.eye(6) / 6, 2)
+
+
+class TestIdentity:
+    """Channels compare and hash by identity: == on equal-valued channels is
+    False instead of an ndarray truth-value error."""
+
+    def test_equal_values_are_distinct(self):
+        a, b = depolarizing_channel(2, 0.1), depolarizing_channel(2, 0.1)
+        assert (a == b) is False
+        assert a == a and a != b
+
+    def test_dict_key(self):
+        a, b = depolarizing_channel(2, 0.1), depolarizing_channel(2, 0.1)
+        table = {a: "a", b: "b"}
+        assert table[a] == "a" and table[b] == "b" and len(table) == 2

@@ -121,18 +121,18 @@ class TestChecksStillFire:
     def test_each_joint_output_is_checked(self, corrupted, monkeypatch):
         # A real antisymmetric part breaks Hermiticity but leaves every
         # Tr[out Pi_i].real unchanged, so only the output check can see it.
-        real = certify_module.apply_kraus
+        real = certify_module.apply_transfers
         seen = []
 
-        def corrupting(ch, state, dim_ref):
-            out = real(ch, state, dim_ref)
-            seen.append(state is detector.probe.sigma)
+        def corrupting(transfers, pairs, dim_ref):
+            out = real(transfers, pairs, dim_ref)
+            seen.append(pairs is detector.probe_pairs)
             if seen[-1] == (corrupted == "probe output"):
-                out = out + 1e-3 * (np.eye(len(out), k=1) - np.eye(len(out), k=-1))
+                out = out + 1e-3 * (np.eye(out.shape[-1], k=1) - np.eye(out.shape[-1], k=-1))
             return out
 
         detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
-        monkeypatch.setattr(certify_module, "apply_kraus", corrupting)
+        monkeypatch.setattr(certify_module, "apply_transfers", corrupting)
         with pytest.raises(InvalidStateError):
             detector.certify(depolarizing_channel(2, 0.1))
         assert seen[-1] == (corrupted == "probe output")  # raised at the corrupted output
@@ -180,3 +180,82 @@ class TestChecksStillFire:
         monkeypatch.setattr(certify_module, "CHAIN_TOL", -1.0)
         with pytest.raises(InternalConsistencyError):
             detector.certify(depolarizing_channel(2, 0.05))
+
+
+def same_result(batched, single):
+    assert batched == single
+    assert batched.channel_label == single.channel_label
+    assert np.array_equal(batched.probabilities, single.probabilities)
+
+
+def channel_stacks(seed):
+    """(probe, POVM, channels sharing their dimensions) on randinst instances:
+    dimension-changing Kraus channels, erasure and same-dimension Kraus channels."""
+    rng = np.random.default_rng(seed)
+    for d in (2, 3):
+        probe = random_probe(rng, d, n_terms=3, rank=d - 1 if seed % 2 else None)
+        yield probe, random_povm(rng, d * (d + 1)), [random_channel(rng, d, d_out=d + 1) for _ in range(5)]
+        yield probe, erasure_povm(d), [erasure_channel(d, float(p)) for p in rng.uniform(0.0, 0.6, 5)]
+        yield probe, random_povm(rng, d * d), [random_channel(rng, d) for _ in range(5)]
+
+
+class TestCertifyMany:
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_per_channel_certify(self, seed, optimize):
+        for probe, povm, channels in channel_stacks(200 + seed):
+            detector = Detector(probe, povm)
+            batched = detector.certify_many(channels, optimize=optimize)
+            assert len(batched) == len(channels)
+            for result, ch in zip(batched, channels):
+                same_result(result, detector.certify(ch, optimize=optimize))
+                same_result(result, Detector(probe, povm).certify(ch, optimize=optimize))
+
+    def test_empty_and_generator_input(self):
+        detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        assert detector.certify_many([]) == []
+        channels = [depolarizing_channel(2, p) for p in (0.0, 0.1)]
+        assert detector.certify_many(ch for ch in channels) == detector.certify_many(channels)
+
+    def test_mixed_dimensions(self):
+        detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        with pytest.raises(DimensionMismatchError):
+            detector.certify_many([depolarizing_channel(2, 0.1), erasure_channel(2, 0.1)])
+        with pytest.raises(DimensionMismatchError):
+            detector.certify_many([depolarizing_channel(3, 0.1), depolarizing_channel(3, 0.2)])
+
+    def test_corrupted_channel_in_the_middle(self):
+        channels = [depolarizing_channel(2, p) for p in (0.0, 0.05, 0.1, 0.15, 0.2)]
+        object.__setattr__(channels[2], "kraus", tuple(1.1 * k for k in channels[2].kraus))  # bypass construction
+        detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        detector.certify_many(channels[:2] + channels[3:])
+        with pytest.raises(InvalidStateError, match=r"^channel 2 \(depolarizing\(d=2, p=0.1\)\): "):
+            detector.certify_many(channels)
+
+    @pytest.mark.parametrize("corrupted", ["probe output", "purified output"])
+    def test_stacked_output_check_names_the_channel(self, corrupted, monkeypatch):
+        real = certify_module.apply_transfers
+
+        def corrupting(transfers, pairs, dim_ref):
+            out = real(transfers, pairs, dim_ref)
+            if (pairs is detector.probe_pairs) == (corrupted == "probe output"):
+                out[3] += 1e-3 * (np.eye(out.shape[-1], k=1) - np.eye(out.shape[-1], k=-1))
+            return out
+
+        detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        channels = [depolarizing_channel(2, p) for p in (0.0, 0.05, 0.1, 0.15, 0.2)]
+        monkeypatch.setattr(certify_module, "apply_transfers", corrupting)
+        with pytest.raises(InvalidStateError, match=r"^channel 3 \(depolarizing\(d=2, p=0.15\)\): .*not Hermitian"):
+            detector.certify_many(channels)
+
+    def test_statistics_checks_name_the_channel(self, monkeypatch):
+        povm = bell_povm(2)
+        detector = Detector(isotropic_probe(2, 0.9), povm)
+        channels = [depolarizing_channel(2, p) for p in (0.0, 0.1)]
+        monkeypatch.setattr(certify_module, "CHAIN_TOL", -1.0)
+        with pytest.raises(InternalConsistencyError, match=r"^channel 0 \(depolarizing\(d=2, p=0\)\): detected bound"):
+            detector.certify_many(channels)
+        monkeypatch.undo()
+        object.__setattr__(povm, "factors", np.sqrt(1.1) * povm.factors)
+        with pytest.raises(InvalidStateError, match=r"^channel 0 .*sum to"):
+            detector.certify_many(channels)

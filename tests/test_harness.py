@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from qcapdet.harness import (
     run_sweep,
     write_csv,
 )
-from qcapdet.sampling import sample_outcomes
+from qcapdet.sampling import derive_subseed, sample_outcomes
 
 
 class TestBuilders:
@@ -197,6 +199,66 @@ class TestSweep:
         doc["channel"] = {"type": "pauli", "probs": [[1.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(ConfigError):
             run_sweep(parse_sweep(doc))
+
+
+def per_point_rows(doc):
+    """A 'p' sweep's rows the way a loop over run_point computes them: one
+    detector and channel per grid point, shots seeded by derive_subseed."""
+    spec = parse_sweep(doc)
+    rows = []
+    for i, p in enumerate(np.linspace(spec.start, spec.stop, spec.steps)):
+        probe = build_probe(spec.probe)
+        channel = build_channel({**spec.channel, "p": float(p)})
+        seed = derive_subseed(spec.seed, i) if spec.shots > 0 else 0
+        result, estimate, _ = run_point(probe, channel, build_povm(spec.povm, probe.d), spec.optimize, spec.shots, seed)
+        rows.append((float(p), result.qdet, estimate))
+    return rows
+
+
+class TestChunkedSweep:
+    """A 'p' sweep certifies its channels in chunks of CERTIFY_CHUNK joint
+    output entries; where the chunks fall changes no row."""
+
+    @pytest.mark.parametrize("chunk", [16, 48, 16 * 7, harness.CERTIFY_CHUNK])
+    @pytest.mark.parametrize("shots, optimize", [(0, False), (0, True), (1000, False)])
+    def test_rows_do_not_depend_on_chunk_size(self, monkeypatch, chunk, shots, optimize):
+        doc = {**DEPOL_SWEEP, "sweep": {**DEPOL_SWEEP["sweep"], "steps": 11}, "shots": shots, "optimize": optimize}
+        monkeypatch.setattr(harness, "CERTIFY_CHUNK", chunk)  # d = 2 Bell: 16 entries per point
+        rows = run_sweep(parse_sweep(doc))
+        assert [(r["p"], r["qdet"], r.get("qdet_estimate")) for r in rows] == per_point_rows(doc)
+
+    def test_erasure_chunks_across_the_grid(self, monkeypatch):
+        doc = {
+            "channel": {"type": "erasure", "d": 3},
+            "probe": {"type": "isotropic", "d": 3, "F": 0.9},
+            "povm": {"type": "erasure_adapted"},
+            "sweep": {"variable": "p", "start": 0.0, "stop": 0.5, "steps": 9},
+        }
+        monkeypatch.setattr(harness, "CERTIFY_CHUNK", 2 * 144)  # two points of 12 x 12 per chunk
+        rows = run_sweep(parse_sweep(doc))
+        assert [(r["p"], r["qdet"], None) for r in rows] == per_point_rows(doc)
+        for row in rows:
+            assert abs(row["qdet"] - row["qdet_closed"]) < 1e-10
+
+    def test_peak_memory_of_a_d8_sweep(self):
+        # The chunks bound the memory: this sweep peaks at about 2.5 MiB,
+        # and certifying all 200 channels in one stack at about 96 MiB.
+        doc = {
+            "channel": {"type": "depolarizing", "d": 8},
+            "probe": {"type": "isotropic", "d": 8, "F": 0.95},
+            "povm": {"type": "bell"},
+            "sweep": {"variable": "p", "start": 0.0, "stop": 0.1, "steps": 200},
+        }
+        spec = parse_sweep(doc)
+        run_sweep(parse_sweep({**doc, "sweep": {**doc["sweep"], "steps": 2}}))  # caches outside the measurement
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 200
+        assert peak < 6 * 2**20
 
 
 class TestFigures:

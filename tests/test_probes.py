@@ -193,6 +193,21 @@ class TestCustom:
             custom_probe([1.0], [np.eye(2)])  # trace 2, not normalized
 
 
+class TestIdentity:
+    """Probes compare and hash by identity: == on equal-valued probes is
+    False instead of an ndarray truth-value error."""
+
+    def test_equal_values_are_distinct(self):
+        a, b = isotropic_probe(2, 0.9), isotropic_probe(2, 0.9)
+        assert (a == b) is False
+        assert a == a and a != b
+
+    def test_dict_key(self):
+        a, b = isotropic_probe(2, 0.9), isotropic_probe(2, 0.9)
+        table = {a: "a", b: "b"}
+        assert table[a] == "a" and table[b] == "b" and len(table) == 2
+
+
 class TestReducedState:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(32)

@@ -334,7 +334,8 @@ class TestDecompositionCount:
     """Each decomposition runs once: building a probe makes none; Detector
     makes one eigh of rho^T; a certify call makes the two checks inside
     apply_channel, S[E(rho)], the joint output check and the purified
-    oracle."""
+    oracle.  certify_many of N channels makes the 2N checks inside
+    apply_channel and one stacked eigvalsh for each of the other three."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -367,3 +368,11 @@ class TestDecompositionCount:
         count.clear()
         detector.certify(ch)
         assert len(count) == 5
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_certify_many_makes_2n_plus_3(self, count, n):
+        detector = Detector(isotropic_probe(3, 0.9), bell_povm(3))
+        channels = [depolarizing_channel(3, 0.1 * k) for k in range(n)]
+        count.clear()
+        detector.certify_many(channels)
+        assert len(count) == 2 * n + 3
