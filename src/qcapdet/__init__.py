@@ -2,7 +2,7 @@
 
 Send half of a bipartite probe state through a channel, measure a POVM on
 reference plus output, and combine the outcome statistics with
-channel-independent weights computed from the probe decomposition.  The
+channel-independent weights computed from the probe state and the POVM.  The
 result is a lower bound on the quantum capacity (and on the private and
 entanglement-assisted classical capacities) of the channel, with no process
 tomography involved.
@@ -19,6 +19,7 @@ from .certify import (
     erasure_qdet_closed_form,
     hashing_bound,
     qdet_from_statistics,
+    t_vector,
     threshold_fidelity,
 )
 from .channels import (
@@ -56,7 +57,6 @@ from .linalg import (
     double_ket,
     hermitian_eigen,
     matrix_sqrt,
-    operator_from_double_ket,
     partial_trace_reference,
     partial_trace_system,
     probability_vector,
@@ -72,7 +72,6 @@ from .measurement import (
     erasure_povm,
     outcome_probabilities,
     pauli_bell_convolution,
-    t_vector,
 )
 from .probes import (
     BipartiteProbeState,
@@ -80,7 +79,6 @@ from .probes import (
     custom_probe,
     isotropic_probe,
     max_entangled_probe,
-    probe_from_density,
     reduced_system_state,
 )
 from .sampling import ShotRecord, derive_subseed, sample_outcomes, uniform_stream

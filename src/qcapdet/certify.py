@@ -38,6 +38,7 @@ from .linalg import (
     density_spectra,
     double_ket,
     matrix_sqrt,
+    partial_trace_reference,
     rank_cutoff,
     shannon_entropy,
     spectral_entropies,
@@ -45,7 +46,7 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .measurement import Povm, coarse_grain, iter_partitions, outcome_weights
-from .probes import BipartiteProbeState, system_marginal
+from .probes import BipartiteProbeState
 
 CHAIN_TOL = 1e-9
 EXHAUSTIVE_GROUPING_LIMIT = 6  # enumerate all partitions up to this many outcomes
@@ -150,20 +151,21 @@ def _best_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
 class Detector:
     """The channel-independent half of the bound for one probe and POVM.
 
-    Built and checked once: the marginal rho (two routes agree), then one
-    eigendecomposition of rho^T giving its density-matrix check, S(rho), the
-    purification sqrt(rho^T), the pseudo-inverse and the rank, and t with its
-    sum rule.  Every channel :meth:`certify_many` evaluates has its output
-    states, its outcome distribution and the chain qdet <= I_c against the
-    exact oracle checked.
+    Built and checked once, from the probe's sigma alone: the marginal
+    rho = Tr_ref[sigma], then one eigendecomposition of rho^T giving its
+    density-matrix check, S(rho), the purification sqrt(rho^T), the
+    pseudo-inverse and the rank, and t, one contraction of sigma with that
+    pseudo-inverse, with its sum rule.  Every channel :meth:`certify_many`
+    evaluates has its output states, its outcome distribution and the chain
+    qdet <= I_c against the exact oracle checked.
     """
 
     def __init__(self, probe: BipartiteProbeState, povm: Povm):
-        rho = system_marginal(probe)
+        d = probe.d
+        rho = partial_trace_reference(probe.sigma, d, d)
         evals, evecs = density_eigen(rho.T)  # checks rho^T, so rho, as a density matrix
         spectrum = np.clip(evals, 0.0, None)
         keep, inverse = rank_cutoff(evals)
-        d = probe.d
         self.probe = probe
         self.povm = povm
         self.rho = rho
@@ -256,6 +258,12 @@ def certify(
     detector once to evaluate several channels.
     """
     return Detector(probe, povm).certify(ch, optimize)
+
+
+def t_vector(probe: BipartiteProbeState, povm: Povm) -> np.ndarray:
+    """Channel-independent outcome weights of a probe and POVM, as
+    ``Detector(probe, povm).t``; see :func:`outcome_weights`."""
+    return Detector(probe, povm).t
 
 
 def hashing_bound(d: int, p: float) -> float:

@@ -162,15 +162,6 @@ def double_ket(a) -> np.ndarray:
     return a.reshape(-1).copy()
 
 
-def operator_from_double_ket(v) -> np.ndarray:
-    """Inverse of double_ket: fold a length-d^2 vector back into a d x d operator."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionMismatchError(f"vector length {v.size} is not a perfect square")
-    return v.reshape(d, d).copy()
-
-
 def partial_trace_reference(m, dim_ref: int, dim_sys: int) -> np.ndarray:
     """Trace out the first tensor factor of an operator on dim_ref * dim_sys."""
     m = as_complex_matrix(m)

@@ -1,7 +1,7 @@
 """POVMs, outcome statistics and classical post-processing.
 
-The outcome weights t_i returned by :func:`t_vector` depend only on the probe
-decomposition and the POVM, never on the channel.  They obey the sum rule
+The outcome weights t_i of :func:`outcome_weights` depend only on the probe
+state sigma and the POVM, never on the channel.  They obey the sum rule
 sum_i t_i = dim_out * rank(rho), which reduces to d * rank(rho) whenever the
 channel preserves the system dimension.
 """
@@ -27,10 +27,8 @@ from .linalg import (
     as_complex_matrix,
     probability_vector,
     probability_vectors,
-    pseudo_inverse,
-    psd_rank,
 )
-from .probes import BipartiteProbeState, reduced_system_state
+from .probes import BipartiteProbeState
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -179,25 +177,22 @@ def pauli_bell_convolution(channel_probs, probe_weights) -> np.ndarray:
     return probability_vector(out.reshape(-1))
 
 
-def t_vector(probe: BipartiteProbeState, povm: Povm) -> np.ndarray:
-    """Channel-independent outcome weights from the probe decomposition.
-
-    t_i = Tr[(sum_l a_l A_l pinv(rho^T) A_l^dagger x I_out) Pi_i], with the
-    identity factor on the channel output space so dimension-changing
-    channels are covered.
-    """
-    rho = reduced_system_state(probe)
-    return outcome_weights(probe, povm, pseudo_inverse(rho.T), psd_rank(rho))
-
-
 def outcome_weights(probe: BipartiteProbeState, povm: Povm, rho_t_pinv, rank: int) -> np.ndarray:
-    """The weights of :func:`t_vector` from a precomputed pinv(rho^T) and
-    rank(rho), checked against the sum rule sum_i t_i = dim_out * rank."""
-    if povm.dim % probe.d != 0:
-        raise DimensionMismatchError(f"POVM dim {povm.dim} not divisible by probe dim {probe.d}")
-    dim_out = povm.dim // probe.d
-    ops = probe.operators  # left = sum_l a_l A_l pinv A_l^dagger, one batched product
-    left = (probe.weights[:, None, None] * (ops @ rho_t_pinv @ ops.conj().transpose(0, 2, 1))).sum(axis=0)
+    """Channel-independent outcome weights from sigma and a precomputed
+    pinv(rho^T) and rank(rho):
+
+    t_i = Tr[(left x I_out) Pi_i],  left = sum_l a_l A_l pinv(rho^T) A_l^dagger,
+
+    for any decomposition sigma = sum_l a_l |A_l>><<A_l|; with the double-ket
+    convention this is one contraction of sigma, whatever decomposition made
+    it.  The identity factor on the channel output covers dimension-changing
+    channels.  Checked against the sum rule sum_i t_i = dim_out * rank.
+    """
+    d = probe.d
+    if povm.dim % d != 0:
+        raise DimensionMismatchError(f"POVM dim {povm.dim} not divisible by probe dim {d}")
+    dim_out = povm.dim // d
+    left = np.einsum("nmNM,mM->nN", probe.sigma.reshape(d, d, d, d), rho_t_pinv)
     t = povm.traces(left)  # Tr[(left x I_out) Pi_i]
     t = np.where((t < 0.0) & (t > -PSD_TOL), 0.0, t)
     expected = dim_out * rank

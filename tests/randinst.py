@@ -3,6 +3,7 @@
 import numpy as np
 
 from qcapdet import Povm, QuantumChannel, custom_probe
+from qcapdet.channels import weyl_unitaries
 from qcapdet.linalg import matrix_sqrt, pseudo_inverse
 
 
@@ -45,9 +46,10 @@ def random_povm(rng, dim, n_elements=None):
     return Povm(dim, random_povm_elements(rng, dim, n_elements))
 
 
-def random_probe(rng, d, n_terms=None, rank=None):
-    """Probe from random decomposition terms; `rank` forces a rank-deficient
-    reduced state by right-multiplying every term with a fixed projector."""
+def random_terms(rng, d, n_terms=None, rank=None):
+    """Random decomposition terms (a_l, A_l) with sum_l a_l Tr[A_l^dagger A_l] = 1;
+    `rank` forces a rank-deficient reduced state by right-multiplying every
+    term with a fixed projector."""
     n_terms = n_terms or int(rng.integers(1, 5))
     w = rng.random(n_terms) + 0.1
     ops = rng.normal(size=(n_terms, d, d)) + 1j * rng.normal(size=(n_terms, d, d))
@@ -56,4 +58,28 @@ def random_probe(rng, d, n_terms=None, rank=None):
         proj[:rank, :rank] = np.eye(rank)
         ops = ops @ proj
     norm = sum(a * np.trace(op.conj().T @ op).real for a, op in zip(w, ops))
-    return custom_probe(w / norm, ops)
+    return w / norm, ops
+
+
+def random_probe(rng, d, n_terms=None, rank=None):
+    """Probe assembled from :func:`random_terms`."""
+    return custom_probe(*random_terms(rng, d, n_terms, rank))
+
+
+def isotropic_terms(d, fidelity):
+    """The Bell-diagonal terms (q, U_mn / sqrt(d)) isotropic_probe(d, fidelity) is assembled from."""
+    q = np.full(d * d, (1.0 - fidelity) / (d * d - 1))
+    q[0] = fidelity
+    return q, weyl_unitaries(d) / np.sqrt(d)
+
+
+def decompositions(rng, terms, sigma):
+    """Three decompositions (a_l, A_l) of the same sigma = sum_l a_l |A_l>><<A_l|:
+    the given terms; those terms rotated, sqrt(a_k) A_k -> sum_l u_kl sqrt(a_l) A_l
+    for a random L x L unitary u, with unit weights; and sigma's own
+    eigendecomposition, eigenvector j folded into a d x d operator."""
+    weights, ops = terms
+    rotated = np.einsum("kl,lij->kij", random_unitary(rng, len(weights)), np.sqrt(weights)[:, None, None] * ops)
+    evals, evecs = np.linalg.eigh(sigma)
+    d = ops.shape[1]
+    return [(weights, ops), (np.ones(len(rotated)), rotated), (evals, evecs.T.reshape(-1, d, d))]

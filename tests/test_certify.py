@@ -10,6 +10,7 @@ from qcapdet import (
     bell_povm,
     certify,
     coherent_information,
+    custom_probe,
     depolarizing_channel,
     depolarizing_isotropic_qdet,
     entropy_exchange,
@@ -30,17 +31,26 @@ from qcapdet import (
 )
 from qcapdet.errors import DegenerateMeasurementError
 from qcapdet.linalg import PINV_CUTOFF, binary_entropy, double_ket, hermitian_eigen, pseudo_inverse
-from randinst import random_channel, random_density, random_povm, random_probe, random_unitary
+from randinst import (
+    decompositions,
+    random_channel,
+    random_density,
+    random_povm,
+    random_probe,
+    random_terms,
+    random_unitary,
+)
 
 
-def measurement_diagnostics(probe, ch, povm):
+def measurement_diagnostics(probe, terms, ch, povm):
     """Conditional-outcome diagnostic.
 
     Returns (r, t, cond) where cond[i, j] is the outcome-i probability
     conditioned on the j-th spectral component of the purified channel
     output, r_i sums cond over components, and t is the outcome weight
     vector.  Componentwise r <= t, and the spectral mixture of cond
-    reproduces the outcome distribution.
+    reproduces the outcome distribution.  ``terms`` is a decomposition
+    (a_l, A_l) of the probe's sigma.
     """
     detector = Detector(probe, povm)
     root_inv = pseudo_inverse(detector.root)
@@ -52,7 +62,7 @@ def measurement_diagnostics(probe, ch, povm):
     cond = np.zeros((len(povm), int(keep.sum())))
     for i, element in enumerate(povm.elements):
         m = np.zeros_like(element)
-        for a, op in zip(probe.weights, probe.operators):
+        for a, op in zip(*terms):
             side = np.kron(op @ root_inv, eye_out)
             m += a * (side.conj().T @ element @ side)
         cond[i, :] = np.einsum("sj,st,tj->j", basis.conj(), m, basis).real
@@ -262,13 +272,18 @@ class TestDiagnostics:
         from qcapdet.linalg import matrix_sqrt
 
         rng = np.random.default_rng(66)
+        rotations = np.random.default_rng(166)
         for _ in range(20):
             d = int(rng.integers(2, 4))
-            probe = random_probe(rng, d)
+            terms = random_terms(rng, d)
+            probe = custom_probe(*terms)
             ch = random_channel(rng, d)
             povm = random_povm(rng, d * ch.dim_out)
-            r, t, cond = measurement_diagnostics(probe, ch, povm)
+            r, t, cond = measurement_diagnostics(probe, terms, ch, povm)
             assert np.all(r <= t + 1e-9)
+            # the conditionals depend on sigma alone, not on its decomposition
+            for other in decompositions(rotations, terms, probe.sigma)[1:]:
+                assert np.max(np.abs(measurement_diagnostics(probe, other, ch, povm)[2] - cond)) < 1e-12
             # mixing the conditionals with the output spectrum recovers p
             rho = reduced_system_state(probe)
             p = outcome_probabilities(probe, ch, povm)

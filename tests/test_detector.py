@@ -10,6 +10,7 @@ from qcapdet import (
     QuantumChannel,
     bell_povm,
     certify,
+    custom_probe,
     depolarizing_channel,
     erasure_channel,
     erasure_povm,
@@ -20,7 +21,7 @@ from qcapdet import (
 from qcapdet.cli import main
 from qcapdet.errors import DimensionMismatchError, InternalConsistencyError, InvalidStateError
 from qcapdet.linalg import pseudo_inverse, psd_rank, shannon_entropy, von_neumann_entropy
-from randinst import random_channel, random_povm, random_probe
+from randinst import decompositions, random_channel, random_povm, random_probe, random_terms
 
 certify_module = importlib.import_module("qcapdet.certify")
 
@@ -34,13 +35,14 @@ def extended_output(ch, state, dim_ref):
     return out
 
 
-def reference(probe, ch, povm):
+def reference(probe, terms, ch, povm):
     """Every result field by the per-element route: one np.trace per POVM
-    element on the extended output and on (left x I_out)."""
+    element on the extended output and on (left x I_out), with left summed
+    over the decomposition ``terms`` of the probe's sigma."""
     d = probe.d
     rho = reduced_system_state(probe)
     p = np.array([np.trace(extended_output(ch, probe.sigma, d) @ e).real for e in povm.elements])
-    left = sum(a * (op @ pseudo_inverse(rho.T) @ op.conj().T) for a, op in zip(probe.weights, probe.operators))
+    left = sum(a * (op @ pseudo_inverse(rho.T) @ op.conj().T) for a, op in zip(*terms))
     big = np.kron(left, np.eye(ch.dim_out))
     t = np.array([np.trace(big @ e).real for e in povm.elements])
     output_entropy = von_neumann_entropy(extended_output(ch, rho, 1))
@@ -77,19 +79,24 @@ def random_triples(seed, count):
             ch, povm = random_channel(rng, d), None
         povm = povm or random_povm(rng, d * ch.dim_out)
         rank = int(rng.integers(1, d)) if trial % 3 == 0 else None
-        yield random_probe(rng, d, n_terms=int(rng.integers(2, 5)), rank=rank), ch, povm
+        terms = random_terms(rng, d, n_terms=int(rng.integers(2, 5)), rank=rank)
+        yield custom_probe(*terms), terms, ch, povm
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fields_match_per_element_reference(seed):
-    for probe, ch, povm in random_triples(100 + seed, 12):
+    # t depends on sigma alone: the reference agrees from the terms the probe
+    # was built from, from those terms rotated, and from sigma's eigenvectors
+    rng = np.random.default_rng(400 + seed)
+    for probe, terms, ch, povm in random_triples(100 + seed, 12):
         detector = Detector(probe, povm)
         result = detector.certify(ch)
-        want = reference(probe, ch, povm)
-        assert np.max(np.abs(detector.t - want.pop("t"))) < 1e-12
-        assert np.max(np.abs(result.probabilities - want.pop("probabilities"))) < 1e-12
-        for name, value in want.items():
-            assert abs(getattr(result, name) - value) < 1e-12, name
+        for decomposition in decompositions(rng, terms, probe.sigma):
+            want = reference(probe, decomposition, ch, povm)
+            assert np.max(np.abs(detector.t - want.pop("t"))) < 1e-12
+            assert np.max(np.abs(result.probabilities - want.pop("probabilities"))) < 1e-12
+            for name, value in want.items():
+                assert abs(getattr(result, name) - value) < 1e-12, name
         assert result.grouping == tuple((i,) for i in range(len(povm)))
 
 
@@ -152,13 +159,6 @@ class TestChecksStillFire:
         path.write_text(json.dumps(config))
         assert main(["certify", "--config", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
-
-    def test_marginal_routes_disagree(self):
-        probe = isotropic_probe(2, 0.9)
-        corrupted = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)  # valid state, wrong marginal
-        object.__setattr__(probe, "sigma", corrupted)
-        with pytest.raises(InternalConsistencyError):
-            Detector(probe, bell_povm(2))
 
     def test_sum_rule(self):
         povm = bell_povm(2)

@@ -19,6 +19,7 @@ from qcapdet import (
     apply_extended_channel,
     bell_povm,
     certify,
+    custom_probe,
     depolarizing_channel,
     erasure_channel,
     erasure_povm,
@@ -29,7 +30,7 @@ from qcapdet import (
 )
 from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import double_ket, pseudo_inverse
-from randinst import random_channel, random_povm_elements, random_probe
+from randinst import decompositions, random_channel, random_povm_elements, random_terms
 
 
 def _bell_projectors(d: int) -> np.ndarray:
@@ -57,12 +58,13 @@ def dense_erasure_elements(d: int):
     return tuple(elements), tuple(labels)
 
 
-def dense_route(elements, probe, ch):
-    """p and t from the flattened dense elements, one matrix-vector product each."""
+def dense_route(elements, probe, terms, ch):
+    """p and t from the flattened dense elements, one matrix-vector product
+    each, with t's left factor summed over the decomposition ``terms`` of sigma."""
     matrix = np.array(elements).reshape(len(elements), -1)
     joint = apply_extended_channel(ch, probe.sigma, probe.d)
     rho = reduced_system_state(probe)
-    left = sum(a * (op @ pseudo_inverse(rho.T) @ op.conj().T) for a, op in zip(probe.weights, probe.operators))
+    left = sum(a * (op @ pseudo_inverse(rho.T) @ op.conj().T) for a, op in zip(*terms))
     p = (matrix @ joint.T.reshape(-1)).real
     t = (matrix @ np.kron(left.T, np.eye(ch.dim_out)).reshape(-1)).real
     return p, t
@@ -80,7 +82,7 @@ def test_elements_match_the_dense_construction(d):
 
 
 def random_cases(seed, count):
-    """(probe, channel, factored POVM, dense elements), over four kinds."""
+    """(probe, its terms, channel, factored POVM, dense elements), over four kinds."""
     rng = np.random.default_rng(seed)
     for trial in range(count):
         d = int(rng.integers(2, 4))
@@ -98,17 +100,21 @@ def random_cases(seed, count):
             ch, elements = random_channel(rng, d), random_povm_elements(rng, d * d)
             povm = Povm(d * d, elements)
         rank = int(rng.integers(1, d)) if trial % 3 == 0 else None
-        yield random_probe(rng, d, n_terms=int(rng.integers(2, 5)), rank=rank), ch, povm, elements
+        terms = random_terms(rng, d, n_terms=int(rng.integers(2, 5)), rank=rank)
+        yield custom_probe(*terms), terms, ch, povm, elements
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_p_and_t_match_the_dense_route(seed):
-    for probe, ch, povm, elements in random_cases(200 + seed, 16):
-        p, t = dense_route(elements, probe, ch)
+    rng = np.random.default_rng(300 + seed)
+    for probe, terms, ch, povm, elements in random_cases(200 + seed, 16):
         joint = apply_extended_channel(ch, probe.sigma, probe.d)
-        assert np.max(np.abs(povm.probabilities(joint) - p)) < 1e-12
-        assert np.max(np.abs(Detector(probe, povm).t - t)) < 1e-12
-        assert np.max(np.abs(t_vector(probe, povm) - t)) < 1e-12
+        factored = povm.probabilities(joint), Detector(probe, povm).t, t_vector(probe, povm)
+        for decomposition in decompositions(rng, terms, probe.sigma):
+            p, t = dense_route(elements, probe, decomposition, ch)
+            assert np.max(np.abs(factored[0] - p)) < 1e-12
+            assert np.max(np.abs(factored[1] - t)) < 1e-12
+            assert np.max(np.abs(factored[2] - t)) < 1e-12
         assert np.max(np.abs(np.array(povm.elements) - np.array(elements))) < 1e-12
 
 

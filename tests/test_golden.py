@@ -23,6 +23,7 @@ CASES = {
     "certify_optimize_split5": ["certify", "--config", "configs/optimize_split5.json"],
     "certify_optimize_split7": ["certify", "--config", "configs/optimize_split7.json"],
     "certify_kraus_custom_probe": ["certify", "--config", "configs/kraus_custom_probe.json"],
+    "certify_custom_partial_rank": ["certify", "--config", "configs/custom_partial_rank.json"],
     "sample_bell_diagonal_sample": ["sample", "--config", "configs/bell_diagonal_sample.json"],
     "sweep_depolarizing_F_sweep": ["sweep", "--config", "configs/depolarizing_F_sweep.json"],
     "sample_depolarizing_hashing": ["sample", "--config", "configs/depolarizing_hashing.json"],

@@ -9,7 +9,6 @@ from qcapdet.linalg import (
     double_ket,
     hermitian_eigen,
     matrix_sqrt,
-    operator_from_double_ket,
     partial_trace_reference,
     partial_trace_system,
     probability_vector,
@@ -133,18 +132,9 @@ class TestDoubleKet:
         op[0, 1] = 1.0
         assert_allclose(double_ket(op), [0, 1, 0, 0])
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            d = int(rng.integers(2, 6))
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            assert_allclose(operator_from_double_ket(double_ket(a)), a)
-
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             double_ket(np.zeros((2, 3)))
-        with pytest.raises(DimensionMismatchError):
-            operator_from_double_ket(np.zeros(3))
 
     def test_inner_product_normalized(self):
         a = np.eye(2) / np.sqrt(2)

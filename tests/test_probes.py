@@ -11,37 +11,50 @@ from qcapdet import (
     depolarizing_channel,
     isotropic_probe,
     max_entangled_probe,
-    probe_from_density,
     reduced_system_state,
     weyl_unitary,
 )
 from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import double_ket
-from randinst import random_probe
+from randinst import isotropic_terms, random_probe, random_terms
 
 from test_linalg import brute_force_partial_trace
 
 
-def isotropic_terms():
-    """Writable copies of the weights and operators of isotropic_probe(2, 0.9)."""
-    probe = isotropic_probe(2, 0.9)
-    return probe.weights.copy(), probe.operators.copy()
-
-
 class TestConstructor:
-    """The probe is its decomposition: d and sigma are derived, and each
+    """The probe is its density matrix: d is derived from sigma, a bare sigma
+    is checked as a density matrix, and custom_probe checks its terms.  Each
     check raises when the probe is built."""
 
     def test_derives_d_and_sigma(self):
-        w, ops = isotropic_terms()
-        probe = BipartiteProbeState(w, ops)
-        assert probe.d == 2
-        assert np.array_equal(probe.sigma, isotropic_probe(2, 0.9).sigma)
+        w, ops = isotropic_terms(2, 0.9)
+        sigma = custom_probe(w, ops).sigma
+        assert np.array_equal(sigma, isotropic_probe(2, 0.9).sigma)
+        probe = BipartiteProbeState(sigma, "measured")
+        assert probe.d == 2 and probe.label == "measured"
+        assert np.array_equal(probe.sigma, sigma)
         assert probe.sigma.shape == (4, 4)
+
+    @pytest.mark.parametrize(
+        "sigma, error, match",
+        [
+            (np.eye(3) / 3, DimensionMismatchError, "not \\(d\\^2, d\\^2\\)"),
+            (np.ones((4, 2)) / 4, DimensionMismatchError, "not \\(d\\^2, d\\^2\\)"),
+            (np.zeros((0, 0)), DimensionMismatchError, "not \\(d\\^2, d\\^2\\)"),
+            (np.eye(4), InvalidStateError, "trace"),
+            (np.diag([0.6, 0.6, 0.1, -0.3]), InvalidStateError, "negative eigenvalue"),
+            (np.eye(4) / 4 + 0.1 * np.eye(4, k=1), InvalidStateError, "Hermitian"),
+            (np.full((4, 4), np.nan), InvalidStateError, "non-finite"),
+        ],
+        ids=["3 x 3", "not square", "empty", "trace 4", "negative", "not Hermitian", "nan"],
+    )
+    def test_bare_sigma_is_checked(self, sigma, error, match):
+        with pytest.raises(error, match=match):
+            BipartiteProbeState(sigma)
 
     def test_ragged_stack(self):
         with pytest.raises(DimensionMismatchError, match="do not stack"):
-            BipartiteProbeState([0.5, 0.5], [np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(3)])
+            custom_probe([0.5, 0.5], [np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(3)])
 
     @pytest.mark.parametrize(
         "operators",
@@ -50,44 +63,44 @@ class TestConstructor:
     )
     def test_stack_shape(self, operators):
         with pytest.raises(DimensionMismatchError, match="operator stack shape"):
-            BipartiteProbeState([1.0], operators)
+            custom_probe([1.0], operators)
 
     def test_lengths_agree(self):
-        w, ops = isotropic_terms()
+        w, ops = isotropic_terms(2, 0.9)
         with pytest.raises(DimensionMismatchError, match="disagree in length"):
-            BipartiteProbeState(w[:-1], ops)
+            custom_probe(w[:-1], ops)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator(self, bad):
-        w, ops = isotropic_terms()
+        w, ops = isotropic_terms(2, 0.9)
         ops[1, 0, 1] = bad
         with pytest.raises(InvalidStateError, match="non-finite"):
-            BipartiteProbeState(w, ops)
+            custom_probe(w, ops)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight(self, bad):
-        w, ops = isotropic_terms()
+        w, ops = isotropic_terms(2, 0.9)
         w[1] = bad
         with pytest.raises(InvalidStateError, match="non-finite"):
-            BipartiteProbeState(w, ops)
+            custom_probe(w, ops)
 
     def test_nan_never_reaches_a_bound(self):
         # with NaN passing the comparisons, Detector(...).certify(...) gave qdet = nan
-        w, ops = isotropic_terms()
+        w, ops = isotropic_terms(2, 0.9)
         ops[1, 0, 1] = np.nan
         with pytest.raises(InvalidStateError):
-            Detector(BipartiteProbeState(w, ops), bell_povm(2)).certify(depolarizing_channel(2, 0.1))
+            Detector(custom_probe(w, ops), bell_povm(2)).certify(depolarizing_channel(2, 0.1))
 
     def test_negative_weight(self):
-        w, ops = isotropic_terms()
+        w, ops = isotropic_terms(2, 0.9)
         w[0], w[1] = w[0] + 2 * w[1], -w[1]  # the sum stays 1
         with pytest.raises(InvalidStateError, match="negative"):
-            BipartiteProbeState(w, ops)
+            custom_probe(w, ops)
 
     def test_normalization(self):
-        w, ops = isotropic_terms()
+        w, ops = isotropic_terms(2, 0.9)
         with pytest.raises(InvalidStateError, match="normalization"):
-            BipartiteProbeState(1.01 * w, ops)
+            custom_probe(1.01 * w, ops)
 
 
 class TestMaxEntangled:
@@ -183,8 +196,10 @@ class TestCustom:
         assert_allclose(reduced_system_state(probe), np.eye(d) / d, atol=1e-12)
 
     def test_spectral_reassembly_of_isotropic(self):
+        # sigma's eigenvectors, folded into operators, are another decomposition of it
         probe = isotropic_probe(2, 0.9)
-        rebuilt = probe_from_density(probe.sigma)
+        evals, evecs = np.linalg.eigh(probe.sigma)
+        rebuilt = custom_probe(evals, evecs.T.reshape(-1, 2, 2))
         assert_allclose(rebuilt.sigma, probe.sigma, atol=1e-10)
         assert_allclose(reduced_system_state(rebuilt), reduced_system_state(probe), atol=1e-10)
 
@@ -219,15 +234,23 @@ class TestReducedState:
 
     def test_reconstruction_invariant(self):
         rng = np.random.default_rng(33)
+
+        def max_entangled(d):
+            return max_entangled_probe(d), ([1.0], [np.eye(d) / np.sqrt(d)])
+
+        def isotropic(fidelity):
+            return isotropic_probe(2, fidelity), isotropic_terms(2, fidelity)
+
+        def random(d):
+            terms = random_terms(rng, d)
+            return custom_probe(*terms), terms
+
         makers = [
-            lambda: max_entangled_probe(int(rng.integers(2, 5))),
-            lambda: isotropic_probe(2, rng.uniform(0.25, 1.0)),
-            lambda: random_probe(rng, int(rng.integers(2, 4))),
+            lambda: max_entangled(int(rng.integers(2, 5))),
+            lambda: isotropic(rng.uniform(0.25, 1.0)),
+            lambda: random(int(rng.integers(2, 4))),
         ]
         for _ in range(30):
-            probe = makers[int(rng.integers(0, len(makers)))]()
-            rebuilt = sum(
-                a * np.outer(double_ket(op), double_ket(op).conj())
-                for a, op in zip(probe.weights, probe.operators)
-            )
+            probe, terms = makers[int(rng.integers(0, len(makers)))]()
+            rebuilt = sum(a * np.outer(double_ket(op), double_ket(op).conj()) for a, op in zip(*terms))
             assert np.max(np.abs(probe.sigma - rebuilt)) < 1e-10

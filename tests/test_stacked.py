@@ -1,12 +1,14 @@
 """Stacked constructors and products against the per-term loops they replaced.
 
 The loops below are kept verbatim as the reference.  Quantities that are
-public (t, coarse-grained statistics, probes built from a density matrix, the
-erasure Kraus operators, channel outputs) are compared directly.  The three
-sums that only feed a construction check (trace preservation, the probe's
-normalization, the decomposition route of the marginal) are compared through
-their check: with its tolerance set 1e-12 below the reference residual the
-check must fire, and 1e-12 above it must pass.
+public (t, the marginal, coarse-grained statistics, probes built from a
+density matrix, the erasure Kraus operators, channel outputs) are compared
+directly; the probe's loops run over three decompositions of its sigma (see
+randinst.decompositions).  The sums that only feed a construction check
+(trace preservation, the probe's normalization, the density check of a
+sigma from outside) are compared through their check: with its tolerance
+set 1e-12 below the reference residual the check must fire, and 1e-12 above
+it must pass.
 """
 
 import importlib
@@ -26,24 +28,24 @@ from qcapdet import (
     erasure_channel,
     erasure_povm,
     isotropic_probe,
-    probe_from_density,
 )
 from qcapdet.channels import apply_kraus
 from qcapdet.cli import main
-from qcapdet.errors import DimensionMismatchError, InternalConsistencyError, InvalidStateError
+from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import (
     PINV_CUTOFF,
     hermitian_eigen,
-    operator_from_double_ket,
+    hermitian_part,
     pseudo_inverse,
     psd_rank,
     validate_density_matrix,
 )
 from qcapdet.measurement import outcome_weights
-from qcapdet.probes import reduced_system_state, system_marginal
-from randinst import random_channel, random_povm, random_probe
+from qcapdet.probes import custom_probe, reduced_system_state
+from randinst import decompositions, isotropic_terms, random_channel, random_povm, random_probe, random_terms
 
 channels_module = importlib.import_module("qcapdet.channels")
+linalg_module = importlib.import_module("qcapdet.linalg")
 probes_module = importlib.import_module("qcapdet.probes")
 
 STEP = 1e-12  # how far a tolerance is set from the reference residual
@@ -61,13 +63,13 @@ def normalization_reference(w, ops):
     return float(sum(a * np.trace(op.conj().T @ op).real for a, op in zip(w, ops)))
 
 
-def from_terms_reference(probe):
-    return sum(a * (op.conj().T @ op) for a, op in zip(probe.weights, probe.operators)).T
+def from_terms_reference(w, ops):
+    return sum(a * (op.conj().T @ op) for a, op in zip(w, ops)).T
 
 
-def t_reference(probe, povm, rho_t_pinv):
-    dim_out = povm.dim // probe.d
-    left = sum(a * (op @ rho_t_pinv @ op.conj().T) for a, op in zip(probe.weights, probe.operators))
+def t_reference(w, ops, povm, rho_t_pinv):
+    dim_out = povm.dim // ops.shape[1]
+    left = sum(a * (op @ rho_t_pinv @ op.conj().T) for a, op in zip(w, ops))
     t = povm.traces(np.kron(left, np.eye(dim_out)))
     return np.where((t < 0.0) & (t > -1e-10), 0.0, t)
 
@@ -85,7 +87,7 @@ def probe_from_density_reference(sigma):
     cutoff = PINV_CUTOFF * max(evals.max(), 0.0)
     keep = evals > cutoff
     weights = evals[keep]
-    ops = np.asarray([operator_from_double_ket(evecs[:, j]) for j in np.nonzero(keep)[0]])
+    ops = np.asarray([evecs[:, j].reshape(d, d) for j in np.nonzero(keep)[0]])
     weights = weights / weights.sum()
     return d, weights, ops
 
@@ -113,12 +115,12 @@ def named_channels():
     return out
 
 
-def named_probes():
-    """Random probes (full and reduced rank) and isotropic probes."""
+def named_terms():
+    """Decomposition terms of random probes (full and reduced rank) and of isotropic probes."""
     rng = np.random.default_rng(9)
-    out = [random_probe(rng, int(rng.integers(2, 5))) for _ in range(8)]
-    out += [random_probe(rng, 4, rank=2), random_probe(rng, 3, n_terms=6, rank=1)]
-    return out + [isotropic_probe(d, 0.93) for d in DIMS]
+    out = [random_terms(rng, int(rng.integers(2, 5))) for _ in range(8)]
+    out += [random_terms(rng, 4, rank=2), random_terms(rng, 3, n_terms=6, rank=1)]
+    return out + [isotropic_terms(d, 0.93) for d in DIMS]
 
 
 def bracket(build, module, name, residual, error, monkeypatch, match=None):
@@ -213,72 +215,73 @@ class TestChannelStack:
 
 
 class TestProbeStack:
-    @pytest.mark.parametrize("index", range(len(named_probes())))
+    @pytest.mark.parametrize("index", range(len(named_terms())))
     def test_normalization_matches_the_loop(self, index, monkeypatch):
-        probe = named_probes()[index]
-        weights = 1.01 * probe.weights
-        residual = abs(normalization_reference(weights, probe.operators) - 1.0)
-        build = lambda: BipartiteProbeState(weights, probe.operators)
+        weights, ops = named_terms()[index]
+        weights = 1.01 * weights
+        residual = abs(normalization_reference(weights, ops) - 1.0)
+        build = lambda: custom_probe(weights, ops)
         bracket(build, probes_module, "PROB_TOL", residual, InvalidStateError, monkeypatch, "normalization")
 
-    @pytest.mark.parametrize("index", range(len(named_probes())))
-    def test_marginal_routes_match_the_loop(self, index, monkeypatch):
-        probe = named_probes()[index]
-        rng = np.random.default_rng(index)
-        n = probe.d * probe.d
-        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        object.__setattr__(probe, "sigma", probe.sigma + 1e-3 * (noise + noise.conj().T))
-        direct = np.einsum("iaib->ab", probe.sigma.reshape(probe.d, probe.d, probe.d, probe.d))
-        residual = np.max(np.abs(direct - from_terms_reference(probe)))
-        build = lambda: system_marginal(probe)
-        bracket(build, probes_module, "RECON_TOL", residual, InternalConsistencyError, monkeypatch)
+    @pytest.mark.parametrize("index", range(len(named_terms())))
+    def test_marginal_routes_match_the_loop(self, index):
+        # the detector's one route, the partial trace of sigma, against the
+        # loop over each of three decompositions of sigma
+        terms = named_terms()[index]
+        probe = custom_probe(*terms)
+        rho = Detector(probe, bell_povm(probe.d)).rho
+        for w, ops in decompositions(np.random.default_rng(index), terms, probe.sigma):
+            np.testing.assert_allclose(rho, from_terms_reference(w, ops), atol=1e-12, rtol=0)
 
-    def test_probe_from_density_checks_its_input_against_the_probe(self, monkeypatch):
-        # an eigenvalue of -5e-11 passes the density check (PSD_TOL is 1e-10) and is then dropped
+    def test_probe_from_density_checks_its_input(self, monkeypatch):
+        # an eigenvalue of -5e-11 passes the density check (PSD_TOL is 1e-10) and is stored as given
         rng = np.random.default_rng(12)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         basis, _ = np.linalg.qr(g)
         evals = np.array([0.5, 0.3, 0.2 + 5e-11, -5e-11])
         sigma = (basis * evals) @ basis.conj().T
         sigma = (sigma + sigma.conj().T) / 2
-        _, weights, ops = probe_from_density_reference(sigma)
-        assert len(weights) == 3
-        rebuilt = sum(a * np.outer(op.reshape(-1), op.reshape(-1).conj()) for a, op in zip(weights, ops))
-        residual = np.max(np.abs(sigma - rebuilt))
-        assert 1e-11 < residual < 1e-9
-        build = lambda: probe_from_density(sigma)
-        bracket(build, probes_module, "RECON_TOL", residual, InvalidStateError, monkeypatch, "does not match")
+        residual = -np.linalg.eigvalsh(hermitian_part(sigma)).min()
+        assert 1e-11 < residual < 1e-10
+        build = lambda: BipartiteProbeState(sigma)
+        bracket(build, linalg_module, "PSD_TOL", residual, InvalidStateError, monkeypatch, "negative eigenvalue")
+        assert np.array_equal(build().sigma, sigma)
 
-    @pytest.mark.parametrize("index", range(len(named_probes())))
+    @pytest.mark.parametrize("index", range(len(named_terms())))
     def test_probe_from_density_matches_the_loop(self, index):
-        sigma = named_probes()[index].sigma
+        # a probe from a bare sigma keeps it as given; its t matches the loop over sigma's spectral terms
+        sigma = custom_probe(*named_terms()[index]).sigma
         d, weights, ops = probe_from_density_reference(sigma)
-        probe = probe_from_density(sigma)
+        probe = BipartiteProbeState(sigma)
         assert probe.d == d
-        assert np.array_equal(probe.weights, weights)
-        assert np.array_equal(probe.operators, ops)
+        assert np.array_equal(probe.sigma, sigma)
+        detector = Detector(probe, bell_povm(d))
+        pinv = pseudo_inverse(detector.rho.T)
+        np.testing.assert_allclose(detector.t, t_reference(weights, ops, bell_povm(d), pinv), atol=1e-12, rtol=0)
 
 
 def weight_cases():
-    """(probe, POVM) pairs: random dense POVMs, Bell, and erasure-adapted (kron route)."""
+    """(probe, its terms, POVM): random dense POVMs, Bell, and erasure-adapted (kron route)."""
     rng = np.random.default_rng(10)
     cases = []
-    for probe in named_probes()[:10]:
+    for terms in named_terms()[:10]:
         dim_out = int(rng.integers(1, 4))
-        cases.append((probe, random_povm(rng, probe.d * dim_out)))
+        cases.append((custom_probe(*terms), terms, random_povm(rng, terms[1].shape[1] * dim_out)))
     for d in DIMS:
-        cases += [(isotropic_probe(d, 0.93), bell_povm(d)), (isotropic_probe(d, 0.93), erasure_povm(d))]
+        probe, terms = isotropic_probe(d, 0.93), isotropic_terms(d, 0.93)
+        cases += [(probe, terms, bell_povm(d)), (probe, terms, erasure_povm(d))]
     return cases
 
 
 class TestWeights:
     @pytest.mark.parametrize("index", range(len(weight_cases())))
     def test_t_matches_the_kron_loop(self, index):
-        probe, povm = weight_cases()[index]
+        probe, terms, povm = weight_cases()[index]
         rho = reduced_system_state(probe)
         pinv = pseudo_inverse(rho.T)
         t = outcome_weights(probe, povm, pinv, psd_rank(rho))
-        np.testing.assert_allclose(t, t_reference(probe, povm, pinv), atol=1e-12, rtol=0)
+        for w, ops in decompositions(np.random.default_rng(index), terms, probe.sigma):
+            np.testing.assert_allclose(t, t_reference(w, ops, povm, pinv), atol=1e-12, rtol=0)
 
 
 def shuffled_partition(rng, n):
