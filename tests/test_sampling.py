@@ -180,6 +180,73 @@ class TestEquivalenceWithReference:
         assert sample_outcomes([1.0], 70000, 3).counts == (70000,)
 
 
+ROUTES = {"compare": 10**6, "sort": 1}  # _COMPARE_MAX_OUTCOMES that forces each route
+
+
+class TestCountingRoutes:
+    """Each counting route against the float rule u < e_i on uniform_stream,
+    at the edges where the integer forms of the rule could slip: a 32-bit key
+    equal to a threshold's top bits, thresholds at or above 2^53, and the
+    break-even between the routes."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("n", [2, 16, 40])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_edges_on_a_draw(self, n, delta, route, monkeypatch):
+        # K = m + delta for the m = word >> 11 of a real draw: the draw's
+        # top 32 bits equal K << 11's, so on the sort route its chunk takes
+        # the tie fallback
+        monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 1 << 10)
+        monkeypatch.setattr(sampling, "_COMPARE_MAX_OUTCOMES", ROUTES[route])
+        shots, seed = 5000, 31
+        u = uniform_stream(seed, shots)
+        # draw 748's word has its low 11 bits clear, so at delta = 0 it
+        # equals K << 11 itself and belongs to the outcome after the edge
+        words = sampling._stream_words(seed, 0, sampling._steps(shots))
+        assert words[748] & np.uint64(0x7FF) == 0
+        for k in (0, 17, 748, (1 << 10) - 1, 1 << 10, shots - 1):
+            m = int(u[k] * 2.0**53)
+            edge = (m + delta) * 2.0**-53
+            assert ((m + delta) << 11) >> 32 == m >> 21  # the tie is forced
+            zeros = min(2, n - 2)  # leading zero edges, K = 0, sit before it
+            p = np.array([0.0] * zeros + [edge] + [(1.0 - edge) / (n - zeros - 1)] * (n - zeros - 1))
+            assert np.cumsum(p)[zeros] == edge
+            counts = sample_outcomes(p, shots, seed).counts
+            assert counts == unchunked_counts(p, shots, seed)
+            assert counts[zeros] == np.count_nonzero(u < edge)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    @pytest.mark.parametrize("excess", [0.0, 2.0**-52, 1e-12, 5e-10])
+    def test_thresholds_at_or_above_two_to_53(self, n, excess, route, monkeypatch):
+        # the tail outcomes have zero probability and the head, dyadic so
+        # that it sums exactly, to 1 + excess: every edge from the head's
+        # last on has K >= 2^53
+        monkeypatch.setattr(sampling, "_COMPARE_MAX_OUTCOMES", ROUTES[route])
+        tail = n // 3
+        head = 2.0 ** -np.arange(1, n - tail + 1)
+        head[-1] = 2.0 * head[-1] + excess
+        p = np.append(head, np.zeros(tail))
+        assert np.ceil(np.cumsum(p)[n - tail - 1] * 2.0**53) >= 2.0**53
+        counts = sample_outcomes(p, 40000, n).counts
+        assert counts == unchunked_counts(p, 40000, n)
+        assert not any(counts[n - tail :])
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_break_even_neighbours_on_both_routes(self, offset, monkeypatch):
+        break_even = sampling._COMPARE_MAX_OUTCOMES
+        n = break_even + offset
+        rng = np.random.default_rng(n)
+        shots = 3 * SAMPLE_CHUNK + 77
+        for trial in range(3):
+            p = random_distribution(rng, n, zeros=trial)
+            seed = int(rng.integers(0, 2**63))
+            expected = unchunked_counts(p, shots, seed)
+            for limit in (break_even, *ROUTES.values()):
+                monkeypatch.setattr(sampling, "_COMPARE_MAX_OUTCOMES", limit)
+                assert sample_outcomes(p, shots, seed).counts == expected, limit
+
+
 class TestSubseeds:
     def test_deterministic_and_distinct(self):
         seeds = [derive_subseed(42, i) for i in range(100)]
