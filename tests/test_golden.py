@@ -28,6 +28,8 @@ CASES = {
     "sweep_depolarizing_F_sweep": ["sweep", "--config", "configs/depolarizing_F_sweep.json"],
     "sample_depolarizing_hashing": ["sample", "--config", "configs/depolarizing_hashing.json"],
     "sweep_erasure": ["sweep", "--config", "configs/erasure_sweep.json"],
+    "sweep_F_erasure_optimize": ["sweep", "--config", "configs/sweep_F_erasure_optimize.json"],
+    "sweep_F_amplitude_damping": ["sweep", "--config", "configs/sweep_F_amplitude_damping.json"],
     "figure_1": ["figure", "--which", "1"],
     "figure_2": ["figure", "--which", "2"],
     "threshold_depolarizing": ["threshold", "--family", "depolarizing"],
