@@ -148,47 +148,85 @@ def _best_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
     return qdet_from_statistics(pm, tm, output_entropy), grouping, pm, tm
 
 
+@dataclass(frozen=True, eq=False)
+class MarginalHalf:
+    """What the bound takes from a probe's marginal rho = Tr_ref[sigma] alone,
+    all from one eigendecomposition of rho^T, which also checks rho as a
+    density matrix.  Every probe with this marginal shares it."""
+
+    rho: np.ndarray
+    input_entropy: float  # S(rho), bits
+    root: np.ndarray  # sqrt(rho^T)
+    purification: np.ndarray  # |sqrt(rho^T)>><<sqrt(rho^T)|
+    purification_pairs: np.ndarray  # the purification as every channel's transfer matrix reads it
+    rho_t_pinv: np.ndarray  # pinv(rho^T)
+    rank: int
+
+    @classmethod
+    def of(cls, rho: np.ndarray) -> "MarginalHalf":
+        d = rho.shape[0]
+        evals, evecs = density_eigen(rho.T)  # checks rho^T, so rho, as a density matrix
+        spectrum = np.clip(evals, 0.0, None)
+        keep, inverse = rank_cutoff(evals)
+        root = (evecs * np.sqrt(spectrum)) @ evecs.conj().T
+        psi = double_ket(root)
+        purification = np.outer(psi, psi.conj())
+        pairs = transfer_input(purification, d, d)
+        pinv = (evecs * inverse) @ evecs.conj().T
+        return cls(rho, shannon_entropy(spectrum), root, purification, pairs, pinv, int(keep.sum()))
+
+    def check_agrees(self, rho: np.ndarray) -> None:
+        """Raise unless another probe's marginal equals this one within RECON_TOL."""
+        if rho.shape != self.rho.shape:
+            raise DimensionMismatchError(f"marginal shape {rho.shape} != shared marginal shape {self.rho.shape}")
+        gap = float(np.max(np.abs(rho - self.rho)))
+        if gap > RECON_TOL:
+            raise InvalidStateError(f"marginal differs from the shared marginal by {gap}")
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelHalf:
+    """What the bound takes from one channel at one marginal, each part
+    checked: the output entropy and the exact oracle."""
+
+    channel: QuantumChannel
+    marginal: MarginalHalf
+    output_entropy: float  # S[E(rho)], bits
+    oracle: float  # coherent information I_c = S[E(rho)] - S_e, bits
+
+
 class Detector:
     """The channel-independent half of the bound for one probe and POVM.
 
     Built and checked once, from the probe's sigma alone: the marginal
-    rho = Tr_ref[sigma], then one eigendecomposition of rho^T giving its
-    density-matrix check, S(rho), the purification sqrt(rho^T), the
-    pseudo-inverse and the rank, and t, one contraction of sigma with that
-    pseudo-inverse, with its sum rule.  Every channel :meth:`certify_many`
-    evaluates has its output states, its outcome distribution and the chain
-    qdet <= I_c against the exact oracle checked.
+    rho = Tr_ref[sigma] and its :class:`MarginalHalf`, and t, one
+    contraction of sigma with pinv(rho^T), with its sum rule.  Given the
+    marginal half of another detector, it checks that its own marginal
+    agrees within RECON_TOL and reuses that half, decomposing nothing.
+    Every channel :meth:`certify_many` evaluates has its output states, its
+    outcome distribution and the chain qdet <= I_c against the exact oracle
+    checked.
     """
 
-    def __init__(self, probe: BipartiteProbeState, povm: Povm):
+    def __init__(self, probe: BipartiteProbeState, povm: Povm, marginal: MarginalHalf | None = None):
         d = probe.d
         rho = partial_trace_reference(probe.sigma, d, d)
-        evals, evecs = density_eigen(rho.T)  # checks rho^T, so rho, as a density matrix
-        spectrum = np.clip(evals, 0.0, None)
-        keep, inverse = rank_cutoff(evals)
+        if marginal is None:
+            marginal = MarginalHalf.of(rho)
+        else:
+            marginal.check_agrees(rho)
         self.probe = probe
         self.povm = povm
-        self.rho = rho
-        self.input_entropy = shannon_entropy(spectrum)
-        self.root = (evecs * np.sqrt(spectrum)) @ evecs.conj().T  # sqrt(rho^T)
-        psi = double_ket(self.root)
-        self.purification = np.outer(psi, psi.conj())
-        self.t = outcome_weights(probe, povm, (evecs * inverse) @ evecs.conj().T, int(keep.sum()))
-        # sigma and the purification as every channel's transfer matrix reads them
-        self.probe_pairs = transfer_input(probe.sigma, d, d)
-        self.purification_pairs = transfer_input(self.purification, d, d)
+        self.marginal = marginal
+        self.t = outcome_weights(probe, povm, marginal.rho_t_pinv, marginal.rank)
+        self.probe_pairs = transfer_input(probe.sigma, d, d)  # sigma as every channel's transfer matrix reads it
 
-    def certify(self, ch: QuantumChannel, optimize: bool = False) -> CertificationResult:
+    def certify(self, ch: QuantumChannel, optimize: bool = False, half: ChannelHalf | None = None) -> CertificationResult:
         """Bound for one channel; ``optimize`` searches outcome coarse-grainings."""
-        return self.certify_many([ch], optimize)[0]
+        return self.certify_many([ch], optimize, None if half is None else [half])[0]
 
-    def certify_many(self, channels: Sequence[QuantumChannel], optimize: bool = False) -> list[CertificationResult]:
-        """Bound for each of a sequence of channels sharing (dim_in, dim_out),
-        their joint and purified outputs each formed and checked as one stack.
-        An error names the index and label of the first failing channel."""
-        channels = tuple(channels)
-        if not channels:
-            return []
+    def _channel_names(self, channels: tuple) -> tuple[list[str], int]:
+        """Each channel's name for errors, and the output dim they share with the probe's input."""
         d = self.probe.d
         dims = {(ch.dim_in, ch.dim_out) for ch in channels}
         if len(dims) > 1:
@@ -196,22 +234,59 @@ class Detector:
         ((dim_in, dim_out),) = dims
         if dim_in != d:
             raise DimensionMismatchError(f"channel input dim {dim_in} != probe dim {d}")
-        if self.povm.dim != d * dim_out:
-            raise DimensionMismatchError(f"POVM dim {self.povm.dim} != reference x output = {d * dim_out}")
-        names = [f"channel {i} ({ch.label})" for i, ch in enumerate(channels)]
-        outputs = [_named(name, apply_channel, ch, self.rho) for name, ch in zip(names, channels)]  # checks each E(rho)
+        return [f"channel {i} ({ch.label})" for i, ch in enumerate(channels)], dim_out
+
+    def channel_halves(self, channels: Sequence[QuantumChannel]) -> list[ChannelHalf]:
+        """The channel half of each of a sequence of channels sharing
+        (dim_in, dim_out) at this detector's marginal: E(rho) through
+        apply_channel with its check, S[E(rho)], and the purified output,
+        formed and checked as one stack, giving S_e and I_c.  Any detector
+        sharing the marginal half can certify with them."""
+        channels = tuple(channels)
+        if not channels:
+            return []
+        names, _ = self._channel_names(channels)
+        marginal = self.marginal
+        # apply_channel checks each E(rho)
+        outputs = [_named(name, apply_channel, ch, marginal.rho) for name, ch in zip(names, channels)]
         output_entropies = checked_state_entropies(np.array(outputs))
         transfers = np.array([ch.transfer for ch in channels])
-        joint = apply_transfers(transfers, self.probe_pairs, d)
+        purified = apply_transfers(transfers, marginal.purification_pairs, self.probe.d)
+        exchange_entropies = spectral_entropies(density_spectra(purified, names))
+        rows = zip(channels, output_entropies, exchange_entropies)
+        return [ChannelHalf(ch, marginal, s, s - s_e) for ch, s, s_e in rows]
+
+    def certify_many(
+        self,
+        channels: Sequence[QuantumChannel],
+        optimize: bool = False,
+        halves: Sequence[ChannelHalf] | None = None,
+    ) -> list[CertificationResult]:
+        """Bound for each of a sequence of channels sharing (dim_in, dim_out),
+        their joint outputs formed and checked as one stack.  ``halves``, the
+        channels' :meth:`channel_halves` from a detector with this marginal
+        half, stand in for computing them again.  An error names the index
+        and label of the first failing channel."""
+        channels = tuple(channels)
+        if not channels:
+            return []
+        d = self.probe.d
+        names, dim_out = self._channel_names(channels)
+        if self.povm.dim != d * dim_out:
+            raise DimensionMismatchError(f"POVM dim {self.povm.dim} != reference x output = {d * dim_out}")
+        if halves is None:
+            halves = self.channel_halves(channels)
+        elif tuple(h.channel for h in halves) != channels or any(h.marginal is not self.marginal for h in halves):
+            raise ValueError("channel halves belong to other channels or to another marginal")
+        joint = apply_transfers(np.array([ch.transfer for ch in channels]), self.probe_pairs, d)
         density_spectra(joint, names)
         probabilities = self.povm.probabilities(joint, names)
-        purified = apply_transfers(transfers, self.purification_pairs, d)
-        exchange_entropies = spectral_entropies(density_spectra(purified, names))
-        rows = zip(names, channels, probabilities, output_entropies, exchange_entropies)
-        return [_named(name, self._result, ch, p, s, s - s_e, optimize) for name, ch, p, s, s_e in rows]
+        rows = zip(names, halves, probabilities)
+        return [_named(name, self._result, half, p, optimize) for name, half, p in rows]
 
-    def _result(self, ch, p, output_entropy: float, oracle: float, optimize: bool) -> CertificationResult:
+    def _result(self, half: ChannelHalf, p, optimize: bool) -> CertificationResult:
         """The bound from one channel's checked statistics, checked against its oracle."""
+        output_entropy, input_entropy = half.output_entropy, self.marginal.input_entropy
         if optimize:
             qdet, grouping, pm, tm = _best_grouping(p, self.t, output_entropy)
         else:
@@ -220,20 +295,20 @@ class Detector:
             pm, tm = p, self.t
         # t . p > 0 was checked by qdet_from_statistics; merging keeps t . p
         prob_entropy, log_tp = shannon_entropy(pm), math.log2(float(tm @ pm))
-        if qdet > oracle + CHAIN_TOL:
-            raise InternalConsistencyError(f"detected bound {qdet} exceeds the coherent information {oracle}")
+        if qdet > half.oracle + CHAIN_TOL:
+            raise InternalConsistencyError(f"detected bound {qdet} exceeds the coherent information {half.oracle}")
         return CertificationResult(
             qdet=qdet,
             output_entropy=output_entropy,
             prob_entropy=prob_entropy,
             log_tp=log_tp,
-            input_entropy=self.input_entropy,
+            input_entropy=input_entropy,
             private_lower=qdet,
-            ea_classical_lower=self.input_entropy + qdet,
+            ea_classical_lower=input_entropy + qdet,
             grouping=grouping,
             probabilities=p,
             probe_label=self.probe.label,
-            channel_label=ch.label,
+            channel_label=half.channel.label,
             povm_label=self.povm.name,
         )
 

@@ -32,7 +32,7 @@ from .channels import (
     pauli_channel,
 )
 from .errors import CertificationError, ConfigError
-from .measurement import Povm, bell_povm, erasure_povm
+from .measurement import Povm, bell_povm, coarse_grain, erasure_povm
 from .probes import (
     BipartiteProbeState,
     bell_diagonal_probe,
@@ -225,8 +225,10 @@ def parse_sweep(doc: dict) -> SweepSpec:
     return SweepSpec(**sections, **sweep, **read_run(doc))
 
 
-def estimate_qdet(record: ShotRecord, t, output_entropy: float) -> float:
-    """Plug-in bound from empirical frequencies.
+def estimate_qdet(record: ShotRecord, t, output_entropy: float, grouping=None) -> float:
+    """Plug-in bound from empirical frequencies, merged by ``grouping``
+    (a partition of the outcomes, as a certified result reports it) when
+    one is given.
 
     The plug-in entropy underestimates the true outcome entropy, so this
     estimate is biased upward at finite shots; report it together with the
@@ -234,7 +236,10 @@ def estimate_qdet(record: ShotRecord, t, output_entropy: float) -> float:
     """
     if record.shots < 1:
         raise ValueError("shot record is empty")
-    return qdet_from_statistics(record.frequencies(), t, output_entropy)
+    p = record.frequencies()
+    if grouping is not None:
+        p, t = coarse_grain(p, t, grouping)
+    return qdet_from_statistics(p, t, output_entropy)
 
 
 def run_point(
@@ -256,7 +261,8 @@ def _estimate(detector: Detector, result: CertificationResult, shots: int, seed:
     if shots <= 0:
         return None, None
     record = sample_outcomes(result.probabilities, shots, seed)
-    return estimate_qdet(record, detector.t, result.output_entropy), record
+    merged = len(result.grouping) < len(detector.t)  # else every group is one outcome: nothing to merge
+    return estimate_qdet(record, detector.t, result.output_entropy, result.grouping if merged else None), record
 
 
 def _chunks(values, dim: int):
@@ -271,8 +277,11 @@ def _chunks(values, dim: int):
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One certification row per grid point, in grid order.  A 'p' sweep
     keeps one detector and certifies its channels in chunks, one
-    certify_many call each; an 'F' sweep keeps one channel.  The swept field
-    needs no value in the config; it must be a field of the section's type."""
+    certify_many call each.  An 'F' sweep keeps one channel: its first
+    point computes the marginal and channel halves, and every later point's
+    detector checks its marginal against them and reuses both.  The swept
+    field needs no value in the config; it must be a field of the section's
+    type."""
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     make_channel, channel_args = read_spec(_CHANNELS, {**spec.channel, spec.variable: spec.start}, "channel")
     make_probe, probe_args = read_spec(_PROBES, {**spec.probe, spec.variable: spec.start}, "probe")
@@ -317,12 +326,14 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             rows += [row(start + j, v, detector, r) for j, (v, r) in enumerate(zip(chunk, results))]
     else:
         channel = _make("channel", make_channel, channel_args)
-        povm = None
         for i, value in enumerate(values):
             probe = swept(value, make_probe, probe_args, "probe")
-            povm = _make("povm", make_povm, povm_args, probe.d) if povm is None else povm
-            detector = Detector(probe, povm)
-            rows.append(row(i, value, detector, detector.certify(channel, spec.optimize)))
+            if i == 0:
+                detector = first = Detector(probe, _make("povm", make_povm, povm_args, probe.d))
+                (half,) = first.channel_halves([channel])
+            else:  # checks that its marginal agrees with the first point's
+                detector = Detector(probe, first.povm, first.marginal)
+            rows.append(row(i, value, detector, detector.certify(channel, spec.optimize, half)))
     return rows
 
 

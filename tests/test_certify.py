@@ -53,8 +53,8 @@ def measurement_diagnostics(probe, terms, ch, povm):
     (a_l, A_l) of the probe's sigma.
     """
     detector = Detector(probe, povm)
-    root_inv = pseudo_inverse(detector.root)
-    joint = apply_extended_channel(ch, detector.purification, probe.d)
+    root_inv = pseudo_inverse(detector.marginal.root)
+    joint = apply_extended_channel(ch, detector.marginal.purification, probe.d)
     evals, evecs = hermitian_eigen(joint)
     keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
     basis = evecs[:, keep]

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from qcapdet.harness import (
     write_csv,
 )
 from qcapdet.sampling import derive_subseed, sample_outcomes
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestBuilders:
@@ -98,6 +102,20 @@ class TestEstimator:
         _, estimate, record = run_point(probe, ch, povm, shots=10**6, seed=42)
         assert abs(estimate - hashing_bound(2, 0.05)) < 0.01
         assert record.shots == 10**6
+
+    def test_optimized_estimate_tracks_the_reported_bound(self):
+        # optimize_split5 merges outcomes 0 and 1: qdet 0.186 against 0.136
+        # ungrouped, so an estimate of the ungrouped bound misses by 0.05
+        with open(ROOT / "configs" / "optimize_split5.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        probe = build_probe(doc["probe"])
+        channel, povm = build_channel(doc["channel"]), build_povm(doc["povm"], probe.d)
+        result, estimate, record = run_point(probe, channel, povm, optimize=True, shots=10**6, seed=0)
+        assert result.grouping == ((0, 1), (2,), (3,), (4,))
+        assert abs(estimate - result.qdet) < 0.01
+        assert estimate == estimate_qdet(record, t_vector(probe, povm), result.output_entropy, result.grouping)
+        ungrouped = estimate_qdet(record, t_vector(probe, povm), result.output_entropy)
+        assert abs(ungrouped - run_point(probe, channel, povm)[0].qdet) < 0.01
 
     def test_error_shrinks_with_shots(self):
         probe = max_entangled_probe(2)

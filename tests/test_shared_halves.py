@@ -1,0 +1,256 @@
+"""An F sweep certified against one marginal half and one channel half.
+
+Along an isotropic F sweep the probe's marginal is I/d at every point, so
+run_sweep decomposes it and evaluates the channel's half of the bound (S[E(rho)]
+and the oracle I_c) once, at the first point.  Every later point builds its
+own Detector on that marginal half and still runs its own checks.  These
+tests compare the sweep with a fresh Detector per point, check that a
+marginal which does not agree is refused, that each per-point check still
+fires at a later point, and count the decompositions.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qcapdet.harness as harness
+from qcapdet import (
+    ChannelHalf,
+    Detector,
+    MarginalHalf,
+    SweepSpec,
+    bell_povm,
+    build_channel,
+    build_povm,
+    build_probe,
+    depolarizing_channel,
+    isotropic_probe,
+    run_point,
+    run_sweep,
+)
+from qcapdet.errors import DimensionMismatchError, InternalConsistencyError, InvalidStateError
+from qcapdet.harness import read
+from qcapdet.sampling import derive_subseed
+
+from randinst import random_channel, random_povm_elements
+
+certify_module = importlib.import_module("qcapdet.certify")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def matrix_spec(m) -> list:
+    """A complex matrix as a config's [re, im] rows."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def kraus_spec(ch) -> dict:
+    return {"type": "kraus", "dim_in": ch.dim_in, "dim_out": ch.dim_out, "kraus": [matrix_spec(k) for k in ch.kraus]}
+
+
+def sweep_cases(seed: int):
+    """(channel, POVM) config sections at d = 2..5: random Kraus channels,
+    two of them dimension-changing, under Bell, erasure-adapted and custom POVMs."""
+    rng = np.random.default_rng(seed)
+    yield 2, kraus_spec(random_channel(rng, 2)), {"type": "bell"}
+    yield 2, kraus_spec(random_channel(rng, 2, d_out=3)), {"type": "erasure_adapted"}
+    yield 3, kraus_spec(random_channel(rng, 3, d_out=4)), {
+        "type": "custom",
+        "elements": [matrix_spec(e) for e in random_povm_elements(rng, 12, 4)],
+    }
+    yield 4, kraus_spec(random_channel(rng, 4)), {
+        "type": "custom",
+        "elements": [matrix_spec(e) for e in random_povm_elements(rng, 16, 3)],
+    }
+    yield 5, kraus_spec(random_channel(rng, 5, n_kraus=2)), {"type": "bell"}
+
+
+def fresh_rows(spec: SweepSpec) -> list[dict]:
+    """The rows of an isotropic F sweep with a fresh Detector, so a fresh
+    marginal and channel half, at every point."""
+    channel = build_channel(spec.channel)
+    rows = []
+    for i, fidelity in enumerate(np.linspace(spec.start, spec.stop, spec.steps)):
+        probe = isotropic_probe(spec.probe["d"], float(fidelity))
+        seed = derive_subseed(spec.seed, i) if spec.shots > 0 else 0
+        result, estimate, _ = run_point(probe, channel, build_povm(spec.povm, probe.d), spec.optimize, spec.shots, seed)
+        row = {"F": float(fidelity), "qdet": result.qdet}
+        if spec.shots > 0:
+            row |= {"qdet_estimate": estimate, "shots": spec.shots}
+        rows.append(row)
+    return rows
+
+
+def f_sweep(channel: dict, d: int, povm: dict, steps: int = 4, start: float = 0.85, **run) -> SweepSpec:
+    return SweepSpec(channel, {"type": "isotropic", "d": d}, povm, "F", start, 1.0, steps, **run)
+
+
+class TestSweepMatchesFreshDetectors:
+    @pytest.mark.parametrize("shots", [0, 3000])
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_rows(self, seed, optimize, shots):
+        for d, channel, povm in sweep_cases(300 + seed):
+            spec = f_sweep(channel, d, povm, shots=shots, seed=seed + 5, optimize=optimize)
+            swept, fresh = run_sweep(spec), fresh_rows(spec)
+            assert [row.keys() for row in swept] == [row.keys() for row in fresh]
+            for got, want in zip(swept, fresh):
+                # the shared marginal is the first point's I/d, a fresh one
+                # its own: t, so qdet, may differ by rounding alone
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["depolarizing", "erasure"])
+    def test_closed_form_sweeps(self, family):
+        channel = {"type": family, "d": 3, "p": 0.1}
+        povm = {"type": "bell" if family == "depolarizing" else "erasure_adapted"}
+        for optimize in (False, True):
+            rows = run_sweep(f_sweep(channel, 3, povm, steps=7, start=0.8, optimize=optimize))
+            for row in rows:
+                assert row["qdet"] == pytest.approx(row["qdet_closed"], rel=0.0, abs=1e-12)
+
+
+class TestSharedMarginal:
+    def test_reuses_the_halves(self):
+        first = Detector(isotropic_probe(3, 0.9), bell_povm(3))
+        later = Detector(isotropic_probe(3, 0.95), first.povm, first.marginal)
+        assert later.marginal is first.marginal
+        ch = depolarizing_channel(3, 0.1)
+        (half,) = first.channel_halves([ch])
+        assert isinstance(half, ChannelHalf) and half.channel is ch and half.marginal is first.marginal
+        assert later.certify(ch, half=half) == Detector(isotropic_probe(3, 0.95), bell_povm(3)).certify(ch)
+
+    def test_marginal_beyond_tolerance(self):
+        with open(ROOT / "configs" / "custom_partial_rank.json", encoding="utf-8") as fh:
+            partial = build_probe(read(json.load(fh), "probe", harness.json_object))
+        first = Detector(isotropic_probe(3, 0.9), bell_povm(3))
+        with pytest.raises(InvalidStateError, match="differs from the shared marginal"):
+            Detector(partial, first.povm, first.marginal)
+        # a marginal off by more than RECON_TOL in one entry
+        probe = isotropic_probe(3, 0.9)
+        object.__setattr__(probe, "sigma", probe.sigma + 2e-9 * np.eye(9))  # bypass construction
+        with pytest.raises(InvalidStateError):
+            Detector(probe, first.povm, first.marginal)
+
+    def test_dimension_mismatch(self):
+        first = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        with pytest.raises(DimensionMismatchError):
+            Detector(isotropic_probe(3, 0.9), bell_povm(3), first.marginal)
+
+    def test_halves_of_other_channels_or_marginals(self):
+        first = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        ch, other = depolarizing_channel(2, 0.1), depolarizing_channel(2, 0.1)
+        (half,) = first.channel_halves([ch])
+        with pytest.raises(ValueError):
+            first.certify(other, half=half)
+        with pytest.raises(ValueError):  # equal marginal, not the same half
+            Detector(isotropic_probe(2, 0.95), bell_povm(2)).certify(ch, half=half)
+        assert first.channel_halves([]) == []
+
+    def test_marginal_half_is_frozen(self):
+        marginal = MarginalHalf.of(np.eye(2) / 2)
+        with pytest.raises(AttributeError):
+            marginal.rank = 1
+
+
+class TestPerPointChecksAtALaterPoint:
+    """A fault in point 3's probe alone is caught at point 3."""
+
+    STEPS = 5
+
+    def corrupt_point_3(self, monkeypatch, corrupt):
+        make, fields = harness._PROBES["isotropic"]
+        built = []
+
+        def building(d, fidelity):
+            probe = make(d, fidelity)
+            built.append(probe)
+            if len(built) == 4:
+                object.__setattr__(probe, "sigma", corrupt(probe.sigma))  # bypass construction
+            return probe
+
+        monkeypatch.setitem(harness._PROBES, "isotropic", (building, fields))
+        return built
+
+    def sweep(self):
+        return f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=self.STEPS, start=0.9)
+
+    def test_unchanged_sweep_passes(self, monkeypatch):
+        built = self.corrupt_point_3(monkeypatch, lambda sigma: sigma)
+        assert len(run_sweep(self.sweep())) == self.STEPS == len(built)
+
+    def test_joint_output_check(self, monkeypatch):
+        # a real antisymmetric part on |00><11| breaks Hermiticity but leaves
+        # the marginal and every t_i unchanged, so only the joint check sees it
+        flip = np.zeros((9, 9))
+        flip[0, 4], flip[4, 0] = 1e-3, -1e-3
+        built = self.corrupt_point_3(monkeypatch, lambda sigma: sigma + flip)
+        with pytest.raises(InvalidStateError, match="not Hermitian"):
+            run_sweep(self.sweep())
+        assert len(built) == 4
+
+    def test_sum_rule(self, monkeypatch):
+        # the marginal moves by 9e-10 (within RECON_TOL) and sum_i t_i by
+        # about 2.4e-8, beyond the sum rule's 1e-8
+        built = self.corrupt_point_3(monkeypatch, lambda sigma: sigma + 3e-10 * np.eye(9))
+        with pytest.raises(InternalConsistencyError, match="sum rule"):
+            run_sweep(self.sweep())
+        assert len(built) == 4
+
+    def test_chain_check(self, monkeypatch):
+        # at F = 1 the bound meets the oracle; a negative tolerance makes
+        # the chain check fire there and nowhere else on this grid
+        monkeypatch.setattr(certify_module, "CHAIN_TOL", -1e-6)
+        spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=4, start=0.9)
+        calls = []
+        real = certify_module.Detector._result
+
+        def counting(self, half, p, optimize):
+            calls.append(half)
+            return real(self, half, p, optimize)
+
+        monkeypatch.setattr(certify_module.Detector, "_result", counting)
+        with pytest.raises(InternalConsistencyError, match="exceeds the coherent information"):
+            run_sweep(spec)
+        assert len(calls) == 4  # points 0-2 passed, point 3 raised
+        assert len({id(half) for half in calls}) == 1  # all against the first point's channel half
+
+
+class TestSweepDecompositionCount:
+    """An n-point F sweep makes n + 5 decompositions: the first point's
+    Detector (1) and certify call (5), and one joint-output check per later
+    point.  A fresh Detector per point makes 6 per point."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_sweep_makes_n_plus_5(self, count, n):
+        spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=n)
+        run_sweep(spec)
+        assert len(count) == n + 5
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_fresh_detectors_make_6n(self, count, n):
+        spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=n)
+        fresh_rows(spec)
+        assert len(count) == 6 * n
+
+    def test_erasure_sweep_makes_n_plus_5(self, count):
+        spec = f_sweep({"type": "erasure", "d": 2, "p": 0.2}, 2, {"type": "erasure_adapted"}, steps=6, optimize=True)
+        run_sweep(spec)
+        assert len(count) == 6 + 5
