@@ -45,7 +45,7 @@ from .linalg import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from .measurement import Povm, coarse_grain, iter_partitions, outcome_weights
+from .measurement import Povm, iter_partitions, merge_groups, outcome_weights
 from .probes import BipartiteProbeState
 
 CHAIN_TOL = 1e-9
@@ -66,6 +66,7 @@ class CertificationResult:
     ea_classical_lower: float  # lower bound on the entanglement-assisted capacity
     grouping: tuple[tuple[int, ...], ...]
     probabilities: np.ndarray = field(repr=False, compare=False)  # outcome distribution before grouping
+    weights: np.ndarray = field(repr=False, compare=False)  # the probe's outcome weights t before grouping
     probe_label: str = field(default="", compare=False)
     channel_label: str = field(default="", compare=False)
     povm_label: str = field(default="povm", compare=False)
@@ -144,7 +145,8 @@ def _best_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
             groups = [g for j, g in enumerate(groups) if j not in (a, b)] + [groups[a] + groups[b]]
             pm, tm = (np.append(np.delete(x, (a, b)), x[a] + x[b]) for x in (pm, tm))
         grouping = tuple(groups)
-    pm, tm = coarse_grain(p, t, grouping)
+    pm, tm = merge_groups(p, t, grouping)  # a partition by construction, so merged unchecked
+    pm = pm.clip(0.0, 1.0)  # as coarse_grain's probability check clamps it
     return qdet_from_statistics(pm, tm, output_entropy), grouping, pm, tm
 
 
@@ -175,13 +177,17 @@ class MarginalHalf:
         pinv = (evecs * inverse) @ evecs.conj().T
         return cls(rho, shannon_entropy(spectrum), root, purification, pairs, pinv, int(keep.sum()))
 
-    def check_agrees(self, rho: np.ndarray) -> None:
-        """Raise unless another probe's marginal equals this one within RECON_TOL."""
-        if rho.shape != self.rho.shape:
+    def check_agrees(self, rho: np.ndarray, names: Sequence[str] = ()) -> None:
+        """Raise unless another probe's marginal, or each of a stack of them,
+        equals this one entrywise within RECON_TOL.  An error names the first
+        failing marginal of a stack by ``names``."""
+        if rho.shape[-2:] != self.rho.shape:
             raise DimensionMismatchError(f"marginal shape {rho.shape} != shared marginal shape {self.rho.shape}")
-        gap = float(np.max(np.abs(rho - self.rho)))
-        if gap > RECON_TOL:
-            raise InvalidStateError(f"marginal differs from the shared marginal by {gap}")
+        gaps = np.abs(rho - self.rho).max(axis=(-2, -1)).reshape(-1)
+        if gaps.max() > RECON_TOL:
+            k = int(np.argmax(gaps > RECON_TOL))
+            prefix = f"{names[k]}: " if names else ""
+            raise InvalidStateError(f"{prefix}marginal differs from the shared marginal by {gaps[k]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,9 +209,10 @@ class Detector:
     contraction of sigma with pinv(rho^T), with its sum rule.  Given the
     marginal half of another detector, it checks that its own marginal
     agrees within RECON_TOL and reuses that half, decomposing nothing.
-    Every channel :meth:`certify_many` evaluates has its output states, its
-    outcome distribution and the chain qdet <= I_c against the exact oracle
-    checked.
+    :meth:`certify_many` evaluates a stack of channels on this probe, and
+    :meth:`certify_probes` a stack of probes sharing its marginal half on
+    one channel; both check every joint output, outcome distribution and
+    the chain qdet <= I_c against the exact oracle.
     """
 
     def __init__(self, probe: BipartiteProbeState, povm: Povm, marginal: MarginalHalf | None = None):
@@ -218,7 +225,7 @@ class Detector:
         self.probe = probe
         self.povm = povm
         self.marginal = marginal
-        self.t = outcome_weights(probe, povm, marginal.rho_t_pinv, marginal.rank)
+        self.t = outcome_weights(probe.sigma, povm, marginal.rho_t_pinv, marginal.rank)
         self.probe_pairs = transfer_input(probe.sigma, d, d)  # sigma as every channel's transfer matrix reads it
 
     def certify(self, ch: QuantumChannel, optimize: bool = False, half: ChannelHalf | None = None) -> CertificationResult:
@@ -226,7 +233,8 @@ class Detector:
         return self.certify_many([ch], optimize, None if half is None else [half])[0]
 
     def _channel_names(self, channels: tuple) -> tuple[list[str], int]:
-        """Each channel's name for errors, and the output dim they share with the probe's input."""
+        """Each channel's name for errors, and the output dim they share,
+        checked against the probe's input."""
         d = self.probe.d
         dims = {(ch.dim_in, ch.dim_out) for ch in channels}
         if len(dims) > 1:
@@ -235,6 +243,12 @@ class Detector:
         if dim_in != d:
             raise DimensionMismatchError(f"channel input dim {dim_in} != probe dim {d}")
         return [f"channel {i} ({ch.label})" for i, ch in enumerate(channels)], dim_out
+
+    def _check_povm(self, dim_out: int) -> None:
+        if self.povm.dim != self.probe.d * dim_out:
+            raise DimensionMismatchError(
+                f"POVM dim {self.povm.dim} != reference x output = {self.probe.d * dim_out}"
+            )
 
     def channel_halves(self, channels: Sequence[QuantumChannel]) -> list[ChannelHalf]:
         """The channel half of each of a sequence of channels sharing
@@ -246,11 +260,19 @@ class Detector:
         if not channels:
             return []
         names, _ = self._channel_names(channels)
+        return self._halves(channels, names, np.array([ch.transfer for ch in channels]))
+
+    def _halves(self, channels: tuple, names: list[str], transfers: np.ndarray, given=None) -> list[ChannelHalf]:
+        """The channels' halves: ``given``, once checked to be theirs at this
+        marginal, or else computed as :meth:`channel_halves` describes."""
         marginal = self.marginal
+        if given is not None:
+            if tuple(h.channel for h in given) != channels or any(h.marginal is not marginal for h in given):
+                raise ValueError("channel halves belong to other channels or to another marginal")
+            return list(given)
         # apply_channel checks each E(rho)
         outputs = [_named(name, apply_channel, ch, marginal.rho) for name, ch in zip(names, channels)]
         output_entropies = checked_state_entropies(np.array(outputs))
-        transfers = np.array([ch.transfer for ch in channels])
         purified = apply_transfers(transfers, marginal.purification_pairs, self.probe.d)
         exchange_entropies = spectral_entropies(density_spectra(purified, names))
         rows = zip(channels, output_entropies, exchange_entropies)
@@ -270,29 +292,78 @@ class Detector:
         channels = tuple(channels)
         if not channels:
             return []
-        d = self.probe.d
         names, dim_out = self._channel_names(channels)
-        if self.povm.dim != d * dim_out:
-            raise DimensionMismatchError(f"POVM dim {self.povm.dim} != reference x output = {d * dim_out}")
-        if halves is None:
-            halves = self.channel_halves(channels)
-        elif tuple(h.channel for h in halves) != channels or any(h.marginal is not self.marginal for h in halves):
-            raise ValueError("channel halves belong to other channels or to another marginal")
-        joint = apply_transfers(np.array([ch.transfer for ch in channels]), self.probe_pairs, d)
+        self._check_povm(dim_out)
+        transfers = np.array([ch.transfer for ch in channels])
+        halves = self._halves(channels, names, transfers, halves)
+        points = [(name, self.probe, half, self.t) for name, half in zip(names, halves)]
+        return self._certify_stack(transfers, self.probe_pairs, points, optimize)
+
+    def certify_probes(
+        self,
+        probes: Sequence[BipartiteProbeState],
+        ch: QuantumChannel,
+        optimize: bool = False,
+        half: ChannelHalf | None = None,
+    ) -> list[CertificationResult]:
+        """Bound for each of a sequence of probes on one channel, in one
+        stacked pass on this detector's marginal half and POVM: every probe's
+        marginal is checked to agree with that half entrywise within
+        RECON_TOL, and their weights t (each with its sum rule), joint
+        outputs and outcome distributions are formed and checked as stacks.
+        ``half`` is the channel's :meth:`channel_halves` at this marginal.
+        Each result carries its own probe's t.  An error names the index and
+        label of the first failing probe."""
+        probes = tuple(probes)
+        if not probes:
+            return []
+        d = self.probe.d
+        if any(probe.d != d for probe in probes):
+            dims = sorted({probe.d for probe in probes})
+            raise DimensionMismatchError(f"probe dims {dims} != detector probe dim {d}")
+        channel_names, dim_out = self._channel_names((ch,))
+        self._check_povm(dim_out)
+        (half,) = self._halves((ch,), channel_names, ch.transfer[None], None if half is None else [half])
+        names = [f"probe {i} ({probe.label})" for i, probe in enumerate(probes)]
+        weights, pairs = self._probe_stack(probes, names)
+        points = [(name, probe, half, t) for name, probe, t in zip(names, probes, weights)]
+        return self._certify_stack(ch.transfer, pairs, points, optimize)
+
+    def _probe_stack(self, probes: tuple, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each probe's t, with its sum rule, and its transfer input, from one
+        stack of their sigmas, once each marginal is checked against this
+        detector's.  The stack is freed on return, before the joint outputs
+        are formed: holding it, and a stacked copy of the transfer matrix,
+        through the joint pass nearly tripled a d = 16 point's page faults."""
+        d = self.probe.d
+        sigmas = np.array([probe.sigma for probe in probes])
+        marginal = self.marginal
+        marginal.check_agrees(np.einsum("kiaib->kab", sigmas.reshape(-1, d, d, d, d)), names)
+        weights = outcome_weights(sigmas, self.povm, marginal.rho_t_pinv, marginal.rank, names)
+        return weights, transfer_input(sigmas, d, d)
+
+    def _certify_stack(self, transfers: np.ndarray, pairs: np.ndarray, points: list, optimize: bool):
+        """Results of a stack of (name, probe, channel half, t) points whose
+        joint outputs are one product of ``transfers`` and ``pairs``: the
+        outputs checked with one density_spectra call and their outcome
+        distributions with one probabilities call, then each point's bound
+        on its own."""
+        names = [name for name, *_ in points]
+        joint = apply_transfers(transfers, pairs, self.probe.d)
         density_spectra(joint, names)
         probabilities = self.povm.probabilities(joint, names)
-        rows = zip(names, halves, probabilities)
-        return [_named(name, self._result, half, p, optimize) for name, half, p in rows]
+        rows = zip(points, probabilities)
+        return [_named(name, self._result, probe, half, t, p, optimize) for (name, probe, half, t), p in rows]
 
-    def _result(self, half: ChannelHalf, p, optimize: bool) -> CertificationResult:
-        """The bound from one channel's checked statistics, checked against its oracle."""
+    def _result(self, probe: BipartiteProbeState, half: ChannelHalf, t, p, optimize: bool) -> CertificationResult:
+        """The bound from one point's checked statistics, checked against its oracle."""
         output_entropy, input_entropy = half.output_entropy, self.marginal.input_entropy
         if optimize:
-            qdet, grouping, pm, tm = _best_grouping(p, self.t, output_entropy)
+            qdet, grouping, pm, tm = _best_grouping(p, t, output_entropy)
         else:
             grouping = tuple((i,) for i in range(p.size))
-            qdet = qdet_from_statistics(p, self.t, output_entropy)
-            pm, tm = p, self.t
+            qdet = qdet_from_statistics(p, t, output_entropy)
+            pm, tm = p, t
         # t . p > 0 was checked by qdet_from_statistics; merging keeps t . p
         prob_entropy, log_tp = shannon_entropy(pm), math.log2(float(tm @ pm))
         if qdet > half.oracle + CHAIN_TOL:
@@ -307,7 +378,8 @@ class Detector:
             ea_classical_lower=input_entropy + qdet,
             grouping=grouping,
             probabilities=p,
-            probe_label=self.probe.label,
+            weights=t,
+            probe_label=probe.label,
             channel_label=half.channel.label,
             povm_label=self.povm.name,
         )

@@ -114,18 +114,22 @@ def erasure_channel(d: int, p: float) -> QuantumChannel:
 
 
 def transfer_input(state: np.ndarray, dim_ref: int, dim_in: int) -> np.ndarray:
-    """A state on reference x input as the (dim_in^2, dim_ref^2) matrix that
-    transfer matrices act on; channel-independent, so form it once per state."""
-    return state.reshape(dim_ref, dim_in, dim_ref, dim_in).transpose(1, 3, 0, 2).reshape(dim_in**2, dim_ref**2)
+    """A state on reference x input, or each of a stack (N, ...) of them, as
+    the (dim_in^2, dim_ref^2) matrix that transfer matrices act on;
+    channel-independent, so form it once per state."""
+    pairs = state.reshape(-1, dim_ref, dim_in, dim_ref, dim_in).transpose(0, 2, 4, 1, 3)
+    return pairs.reshape(state.shape[:-2] + (dim_in**2, dim_ref**2))
 
 
 def apply_transfers(transfers: np.ndarray, pairs: np.ndarray, dim_ref: int) -> np.ndarray:
-    """Unchecked (I_ref x E)(state) for a transfer matrix (dim_out^2, dim_in^2)
-    or a stack (N, dim_out^2, dim_in^2) of them, all in one product, on a
-    state given by :func:`transfer_input`; no I_ref x K is formed."""
+    """Unchecked (I_ref x E)(state) in one product, for a transfer matrix
+    (dim_out^2, dim_in^2) or a stack (N, dim_out^2, dim_in^2) of them, on a
+    state given by :func:`transfer_input` or a stack (N, dim_in^2, dim_ref^2)
+    of them; the two stacks broadcast.  No I_ref x K is formed."""
     o = math.isqrt(transfers.shape[-2])
-    out = (transfers @ pairs).reshape(-1, o, o, dim_ref, dim_ref).transpose(0, 3, 1, 4, 2)
-    return out.reshape(transfers.shape[:-2] + (dim_ref * o, dim_ref * o))
+    product = transfers @ pairs
+    out = product.reshape(-1, o, o, dim_ref, dim_ref).transpose(0, 3, 1, 4, 2)
+    return out.reshape(product.shape[:-2] + (dim_ref * o, dim_ref * o))
 
 
 def apply_kraus(ch: QuantumChannel, state: np.ndarray, dim_ref: int) -> np.ndarray:

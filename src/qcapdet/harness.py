@@ -46,7 +46,7 @@ from .sampling import ShotRecord, derive_subseed, sample_outcomes
 MAX_DIM = 16  # largest `d` a config may ask for; linalg's tolerances hold below ~16
 MAX_STEPS = 10**6  # largest sweep grid
 MAX_SHOTS = 10**9  # most draws one command may ask for; 7-15 s of sampling
-CERTIFY_CHUNK = 1 << 14  # complex entries of one certify_many call's stacked joint output in a sweep
+CERTIFY_CHUNK = 1 << 14  # complex entries of one stacked pass's joint output in a sweep
 
 
 def _reader(accepts, expected: str, convert=lambda value: value):
@@ -251,18 +251,18 @@ def run_point(
     seed: int = 0,
 ) -> tuple[CertificationResult, float | None, ShotRecord | None]:
     """Certify one configuration, optionally with a finite-shot estimate."""
-    detector = Detector(probe, povm)
-    result = detector.certify(channel, optimize=optimize)
-    return (result, *_estimate(detector, result, shots, seed))
+    result = Detector(probe, povm).certify(channel, optimize=optimize)
+    return (result, *_estimate(result, shots, seed))
 
 
-def _estimate(detector: Detector, result: CertificationResult, shots: int, seed: int):
-    """Finite-shot estimate and record of a certified point; none without shots."""
+def _estimate(result: CertificationResult, shots: int, seed: int):
+    """Finite-shot estimate and record of a certified point, with the
+    point's own t; none without shots."""
     if shots <= 0:
         return None, None
     record = sample_outcomes(result.probabilities, shots, seed)
-    merged = len(result.grouping) < len(detector.t)  # else every group is one outcome: nothing to merge
-    return estimate_qdet(record, detector.t, result.output_entropy, result.grouping if merged else None), record
+    merged = len(result.grouping) < len(result.weights)  # else every group is one outcome: nothing to merge
+    return estimate_qdet(record, result.weights, result.output_entropy, result.grouping if merged else None), record
 
 
 def _chunks(values, dim: int):
@@ -275,32 +275,36 @@ def _chunks(values, dim: int):
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One certification row per grid point, in grid order.  A 'p' sweep
-    keeps one detector and certifies its channels in chunks, one
-    certify_many call each.  An 'F' sweep keeps one channel: its first
-    point computes the marginal and channel halves, and every later point's
-    detector checks its marginal against them and reuses both.  The swept
-    field needs no value in the config; it must be a field of the section's
-    type."""
+    """One certification row per grid point, in grid order, certified in
+    chunks of points, one stacked pass each.  A 'p' sweep keeps one
+    detector and certifies each chunk's channels with one certify_many
+    call.  An 'F' sweep keeps one channel: its first point's detector
+    computes the marginal and channel halves, and each chunk's probes, all
+    built first, go through one certify_probes call on them, which checks
+    every probe's marginal against the shared one.  Every row's finite-shot
+    estimate uses its own point's t.  The swept field needs no value in the
+    config; it must be a field of the section's type."""
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     make_channel, channel_args = read_spec(_CHANNELS, {**spec.channel, spec.variable: spec.start}, "channel")
     make_probe, probe_args = read_spec(_PROBES, {**spec.probe, spec.variable: spec.start}, "probe")
     make_povm, povm_args = read_spec(_POVMS, spec.povm, "povm")
-    section, swept_args = ("channel", channel_args) if spec.variable == "p" else ("probe", probe_args)
+    section, make_swept, swept_args = (
+        ("channel", make_channel, channel_args) if spec.variable == "p" else ("probe", make_probe, probe_args)
+    )
     if spec.variable not in swept_args:
         raise ConfigError(f"sweeping {spec.variable!r} needs a {section} type with a {spec.variable!r} field")
     probe_ok = spec.probe["type"] in ("isotropic", "max_entangled")
     closed_form = _CLOSED_FORMS.get((spec.channel["type"], spec.povm["type"])) if probe_ok else None
 
-    def swept(value: float, make, args: dict, where: str):
-        args[spec.variable] = value
-        return _make(where, make, args)
+    def swept(value: float):
+        """The swept section's channel or probe at one grid value."""
+        swept_args[spec.variable] = value
+        return _make(section, make_swept, swept_args)
 
-    def row(i: int, value: float, detector: Detector, result: CertificationResult) -> dict:
+    def row(i: int, value: float, result: CertificationResult) -> dict:
         seed = derive_subseed(spec.seed, i) if spec.shots > 0 else 0  # exact points draw nothing
-        estimate, _ = _estimate(detector, result, spec.shots, seed)
+        estimate, _ = _estimate(result, spec.shots, seed)
         out: dict = {spec.variable: value, "qdet": result.qdet}
-        d = detector.probe.d
         noise = value if spec.variable == "p" else channel_args.get("p", 0.0)
         fidelity = value if spec.variable == "F" else probe_args.get("F", 1.0)
         if closed_form is not None:
@@ -313,27 +317,24 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         return out
 
     values = [float(value) for value in grid]
-    rows = []
-    if spec.variable == "p":
-        first = swept(values[0], make_channel, channel_args, "channel")  # checked before the detector is built
+    if spec.variable == "p":  # the first point's channel is checked before the detector is built
+        first = swept(values[0])
         probe = _make("probe", make_probe, probe_args)
-        detector = Detector(probe, _make("povm", make_povm, povm_args, probe.d))
-        for start, chunk in _chunks(values, detector.povm.dim):
-            channels = [
-                first if start + j == 0 else swept(v, make_channel, channel_args, "channel") for j, v in enumerate(chunk)
-            ]
-            results = detector.certify_many(channels, spec.optimize)
-            rows += [row(start + j, v, detector, r) for j, (v, r) in enumerate(zip(chunk, results))]
     else:
         channel = _make("channel", make_channel, channel_args)
-        for i, value in enumerate(values):
-            probe = swept(value, make_probe, probe_args, "probe")
-            if i == 0:
-                detector = first = Detector(probe, _make("povm", make_povm, povm_args, probe.d))
-                (half,) = first.channel_halves([channel])
-            else:  # checks that its marginal agrees with the first point's
-                detector = Detector(probe, first.povm, first.marginal)
-            rows.append(row(i, value, detector, detector.certify(channel, spec.optimize, half)))
+        first = probe = swept(values[0])
+    d = probe.d
+    detector = Detector(probe, _make("povm", make_povm, povm_args, d))
+    if spec.variable == "F":
+        (half,) = detector.channel_halves([channel])
+    rows = []
+    for start, chunk in _chunks(values, detector.povm.dim):
+        built = [first if start + j == 0 else swept(v) for j, v in enumerate(chunk)]  # before any of them is certified
+        if spec.variable == "p":
+            results = detector.certify_many(built, spec.optimize)
+        else:
+            results = detector.certify_probes(built, channel, spec.optimize, half)
+        rows += [row(start + j, v, r) for j, (v, r) in enumerate(zip(chunk, results))]
     return rows
 
 

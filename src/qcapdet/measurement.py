@@ -8,6 +8,7 @@ channel preserves the system dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -177,29 +178,34 @@ def pauli_bell_convolution(channel_probs, probe_weights) -> np.ndarray:
     return probability_vector(out.reshape(-1))
 
 
-def outcome_weights(probe: BipartiteProbeState, povm: Povm, rho_t_pinv, rank: int) -> np.ndarray:
-    """Channel-independent outcome weights from sigma and a precomputed
-    pinv(rho^T) and rank(rho):
+def outcome_weights(sigma: np.ndarray, povm: Povm, rho_t_pinv, rank: int, names: Sequence[str] = ()) -> np.ndarray:
+    """Channel-independent outcome weights of a probe state sigma, or of each
+    state of a stack (..., d^2, d^2) sharing one marginal, from a
+    precomputed pinv(rho^T) and rank(rho) of that marginal:
 
     t_i = Tr[(left x I_out) Pi_i],  left = sum_l a_l A_l pinv(rho^T) A_l^dagger,
 
     for any decomposition sigma = sum_l a_l |A_l>><<A_l|; with the double-ket
-    convention this is one contraction of sigma, whatever decomposition made
-    it.  The identity factor on the channel output covers dimension-changing
-    channels.  Checked against the sum rule sum_i t_i = dim_out * rank.
+    convention this is one contraction of the sigma stack, whatever
+    decomposition made it.  The identity factor on the channel output covers
+    dimension-changing channels.  Each row is checked against the sum rule
+    sum_i t_i = dim_out * rank; an error names the first failing row by
+    ``names``.
     """
-    d = probe.d
+    d = math.isqrt(sigma.shape[-1])
     if povm.dim % d != 0:
         raise DimensionMismatchError(f"POVM dim {povm.dim} not divisible by probe dim {d}")
     dim_out = povm.dim // d
-    left = np.einsum("nmNM,mM->nN", probe.sigma.reshape(d, d, d, d), rho_t_pinv)
+    left = np.einsum("...nmNM,mM->...nN", sigma.reshape(sigma.shape[:-2] + (d, d, d, d)), rho_t_pinv)
     t = povm.traces(left)  # Tr[(left x I_out) Pi_i]
     t = np.where((t < 0.0) & (t > -PSD_TOL), 0.0, t)
     expected = dim_out * rank
-    if abs(t.sum() - expected) > 1e-8:
-        raise InternalConsistencyError(
-            f"t-vector sum {t.sum()} violates the sum rule (expected {expected})"
-        )
+    sums = t.sum(axis=-1).reshape(-1)
+    failing = np.abs(sums - expected) > 1e-8
+    if failing.any():
+        k = int(np.argmax(failing))  # the first failing row
+        prefix = f"{names[k]}: " if names else ""
+        raise InternalConsistencyError(f"{prefix}t-vector sum {sums[k]} violates the sum rule (expected {expected})")
     return t
 
 
@@ -212,16 +218,22 @@ def _validate_partition(grouping: Sequence[Iterable[int]], n: int) -> tuple[tupl
 
 
 def coarse_grain(p, t, grouping: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge outcomes by summing probabilities and weights groupwise."""
+    """Merge outcomes by summing probabilities and weights groupwise; the
+    grouping is checked to partition the outcomes."""
     p = np.asarray(p, dtype=float).reshape(-1)
     t = np.asarray(t, dtype=float).reshape(-1)
     if p.shape != t.shape:
         raise DimensionMismatchError("probability and weight vectors differ in length")
-    groups = _validate_partition(grouping, p.size)
+    p_merged, t_merged = merge_groups(p, t, _validate_partition(grouping, p.size))
+    return probability_vector(p_merged), t_merged
+
+
+def merge_groups(p: np.ndarray, t: np.ndarray, groups: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked groupwise sums of two equal-length vectors, for groups
+    known to partition their entries."""
     members = np.fromiter((i for g in groups for i in g), dtype=int, count=p.size)
     owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    p_merged, t_merged = (np.bincount(owner, weights=x[members], minlength=len(groups)) for x in (p, t))
-    return probability_vector(p_merged), t_merged
+    return tuple(np.bincount(owner, weights=x[members], minlength=len(groups)) for x in (p, t))
 
 
 def iter_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -11,7 +11,7 @@ from qcapdet import (
     pauli_channel,
     weyl_unitary,
 )
-from qcapdet.channels import weyl_unitaries
+from qcapdet.channels import apply_transfers, transfer_input, weyl_unitaries
 from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import partial_trace_system
 from randinst import random_channel, random_density, random_probe
@@ -234,6 +234,20 @@ class TestExtended:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             apply_extended_channel(depolarizing_channel(2, 0.1), np.eye(6) / 6, 2)
+
+    def test_one_transfer_broadcasts_over_a_stack_of_inputs(self):
+        rng = np.random.default_rng(11)
+        for d, d_out in ((2, 2), (2, 3), (3, 4)):
+            ch = random_channel(rng, d, d_out)
+            sigmas = np.array([random_probe(rng, d).sigma for _ in range(5)])
+            pairs = transfer_input(sigmas, d, d)
+            assert pairs.shape == (5, d * d, d * d)
+            stacked = apply_transfers(ch.transfer, pairs, d)
+            assert stacked.shape == (5, d * d_out, d * d_out)
+            for sigma, pair, out in zip(sigmas, pairs, stacked):
+                assert np.array_equal(pair, transfer_input(sigma, d, d))
+                assert np.array_equal(out, apply_transfers(ch.transfer, pair, d))  # the same product per input
+                assert_allclose(out, apply_extended_channel(ch, sigma, d), atol=1e-12)
 
 
 class TestIdentity:

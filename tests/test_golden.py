@@ -30,6 +30,7 @@ CASES = {
     "sweep_erasure": ["sweep", "--config", "configs/erasure_sweep.json"],
     "sweep_F_erasure_optimize": ["sweep", "--config", "configs/sweep_F_erasure_optimize.json"],
     "sweep_F_amplitude_damping": ["sweep", "--config", "configs/sweep_F_amplitude_damping.json"],
+    "sweep_F_d4_chunks": ["sweep", "--config", "configs/sweep_F_d4_chunks.json"],
     "figure_1": ["figure", "--which", "1"],
     "figure_2": ["figure", "--which", "2"],
     "threshold_depolarizing": ["threshold", "--family", "depolarizing"],

@@ -18,10 +18,9 @@ from qcapdet.certify import (
     EXHAUSTIVE_GROUPING_LIMIT,
     GROUPING_TOL,
     _best_grouping,
-    coarse_grain,
-    iter_partitions,
     qdet_from_statistics,
 )
+from qcapdet.measurement import coarse_grain, iter_partitions
 
 
 def reference_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
@@ -122,3 +121,22 @@ def test_exhaustive_tie_goes_to_the_first_partition():
     ties = [g for g, v in zip(iter_partitions(5), values) if v >= max(values) - GROUPING_TOL]
     _, grouping, _, _ = _best_grouping(p, t, 1.0)
     assert len(ties) > 1 and grouping == ties[0]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_every_grouping_partitions_the_outcomes(n):
+    # _best_grouping merges its own grouping without checking it, so every
+    # grouping it returns, exhaustive (n <= 6) or greedy, must partition
+    # range(n), and its merged p, t must be what the checked merge gives.
+    rng = np.random.default_rng(n)
+    for trial in range(40):
+        p = rng.dirichlet(np.full(n, 0.3 if trial % 2 else 3.0))
+        if trial % 4 == 3:
+            p[rng.random(n) < 0.3] = 0.0  # outcomes that never occur
+            p = p / p.sum() if p.sum() > 0 else np.eye(n)[0]
+        t = rng.uniform(0.0, 2.0, n) if trial % 3 else np.ones(n)
+        qdet, grouping, pm, tm = _best_grouping(p, t, rng.uniform(0.5, 3.0))
+        members = sorted(i for g in grouping for i in g)
+        assert members == list(range(n)) and all(grouping), (n, trial, grouping)
+        want_p, want_t = coarse_grain(p, t, grouping)
+        assert pm.tolist() == want_p.tolist() and tm.tolist() == want_t.tolist()

@@ -1,16 +1,19 @@
-"""An F sweep certified against one marginal half and one channel half.
+"""An F sweep certified against one marginal half and one channel half,
+in stacked chunks of probes.
 
 Along an isotropic F sweep the probe's marginal is I/d at every point, so
 run_sweep decomposes it and evaluates the channel's half of the bound (S[E(rho)]
-and the oracle I_c) once, at the first point.  Every later point builds its
-own Detector on that marginal half and still runs its own checks.  These
-tests compare the sweep with a fresh Detector per point, check that a
+and the oracle I_c) once, at the first point.  Each chunk of points then goes
+through one Detector.certify_probes pass on those halves, which still runs
+every point's own checks.  These tests compare the sweep with a fresh
+Detector per point, within one chunk and across several, check that a
 marginal which does not agree is refused, that each per-point check still
 fires at a later point, and count the decompositions.
 """
 
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ import pytest
 
 import qcapdet.harness as harness
 from qcapdet import (
+    BipartiteProbeState,
     ChannelHalf,
     Detector,
     MarginalHalf,
@@ -35,7 +39,7 @@ from qcapdet.errors import DimensionMismatchError, InternalConsistencyError, Inv
 from qcapdet.harness import read
 from qcapdet.sampling import derive_subseed
 
-from randinst import random_channel, random_povm_elements
+from randinst import random_channel, random_density, random_povm, random_povm_elements
 
 certify_module = importlib.import_module("qcapdet.certify")
 
@@ -112,6 +116,96 @@ class TestSweepMatchesFreshDetectors:
                 assert row["qdet"] == pytest.approx(row["qdet_closed"], rel=0.0, abs=1e-12)
 
 
+class TestAcrossChunks:
+    """8-point sweeps certified in chunks of 3 points, so each spans three."""
+
+    @pytest.mark.parametrize("shots", [0, 3000])
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_rows(self, monkeypatch, optimize, shots):
+        passes = []
+        real = Detector.certify_probes
+
+        def counting(self, probes, *args):
+            passes.append(len(probes))
+            return real(self, probes, *args)
+
+        monkeypatch.setattr(Detector, "certify_probes", counting)
+        for d, channel, povm in list(sweep_cases(310))[:3]:
+            monkeypatch.setattr(harness, "CERTIFY_CHUNK", 3 * (d * channel["dim_out"]) ** 2)
+            spec = f_sweep(channel, d, povm, steps=8, shots=shots, seed=9, optimize=optimize)
+            swept, fresh = run_sweep(spec), fresh_rows(spec)
+            assert [row.keys() for row in swept] == [row.keys() for row in fresh]
+            for got, want in zip(swept, fresh):
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert passes == [3, 3, 2] * 3
+
+
+class TestProbeStack:
+    """Detector.certify_probes on a stack of probes sharing one marginal."""
+
+    def stack(self, d=3, fidelities=(0.8, 0.85, 0.9, 0.95, 1.0)):
+        return [isotropic_probe(d, f) for f in fidelities]
+
+    def reference_varied(self, d=3):
+        """Probes (1-w) |Phi><Phi| + w R x I/d: every system marginal is I/d,
+        but the reference marginals differ, and so, under a POVM whose
+        elements' reference marginals are not all I/d, do the weights t."""
+        rng = np.random.default_rng(17)
+        phi = isotropic_probe(d, 1.0).sigma
+        return [
+            BipartiteProbeState((1 - w) * phi + w * np.kron(random_density(rng, d), np.eye(d) / d), f"mixed(w={w})")
+            for w in (0.1, 0.3, 0.5, 0.7)
+        ]
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("family", ["isotropic", "reference_varied"])
+    def test_matches_fresh_detectors(self, family, optimize):
+        rng = np.random.default_rng(5)
+        if family == "isotropic":
+            probes, povm = self.stack(), bell_povm(3)
+        else:
+            probes, povm = self.reference_varied(), random_povm(rng, 9, 6)
+        ch = random_channel(rng, 3)
+        first = Detector(probes[0], povm)
+        results = first.certify_probes(probes, ch, optimize)
+        if family == "reference_varied":  # each result carries its own probe's t
+            assert min(np.abs(a.weights - b.weights).max() for a, b in zip(results, results[1:])) > 1e-3
+        for probe, got in zip(probes, results):
+            fresh = Detector(probe, povm)
+            want = fresh.certify(ch, optimize)
+            assert got.probe_label == probe.label and got.grouping == want.grouping
+            assert got.qdet == pytest.approx(want.qdet, rel=0.0, abs=1e-12)
+            np.testing.assert_allclose(got.weights, fresh.t, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got.probabilities, want.probabilities, rtol=0.0, atol=1e-12)
+
+    def test_one_marginal_off_by_2e_9(self):
+        probes = self.stack()
+        first = Detector(probes[0], bell_povm(3))
+        object.__setattr__(probes[2], "sigma", probes[2].sigma + 2e-9 * np.eye(9))  # bypass construction
+        with pytest.raises(InvalidStateError, match=r"^probe 2 \(isotropic\(d=3, F=0.9\)\): marginal differs"):
+            first.certify_probes(probes, depolarizing_channel(3, 0.1))
+
+    def test_sum_rule_names_the_probe(self):
+        # the marginal moves by 9e-10 (within RECON_TOL), sum_i t_i by about 2.4e-8
+        probes = self.stack()
+        first = Detector(probes[0], bell_povm(3))
+        object.__setattr__(probes[3], "sigma", probes[3].sigma + 3e-10 * np.eye(9))
+        with pytest.raises(InternalConsistencyError, match=r"^probe 3 \(isotropic\(d=3, F=0.95\)\): t-vector"):
+            first.certify_probes(probes, depolarizing_channel(3, 0.1))
+
+    def test_wrong_dimensions_and_halves(self):
+        first = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        ch = depolarizing_channel(2, 0.1)
+        with pytest.raises(DimensionMismatchError):
+            first.certify_probes(self.stack(d=3), depolarizing_channel(3, 0.1))
+        with pytest.raises(DimensionMismatchError):
+            first.certify_probes(self.stack(d=2), depolarizing_channel(3, 0.1))
+        (other,) = first.channel_halves([depolarizing_channel(2, 0.1)])
+        with pytest.raises(ValueError):
+            first.certify_probes(self.stack(d=2), ch, half=other)
+        assert first.certify_probes([], ch) == []
+
+
 class TestSharedMarginal:
     def test_reuses_the_halves(self):
         first = Detector(isotropic_probe(3, 0.9), bell_povm(3))
@@ -181,23 +275,25 @@ class TestPerPointChecksAtALaterPoint:
         built = self.corrupt_point_3(monkeypatch, lambda sigma: sigma)
         assert len(run_sweep(self.sweep())) == self.STEPS == len(built)
 
+    # The sweep is one chunk: all its probes are built before any is checked.
+
     def test_joint_output_check(self, monkeypatch):
         # a real antisymmetric part on |00><11| breaks Hermiticity but leaves
         # the marginal and every t_i unchanged, so only the joint check sees it
         flip = np.zeros((9, 9))
         flip[0, 4], flip[4, 0] = 1e-3, -1e-3
         built = self.corrupt_point_3(monkeypatch, lambda sigma: sigma + flip)
-        with pytest.raises(InvalidStateError, match="not Hermitian"):
+        with pytest.raises(InvalidStateError, match=r"^probe 3 \(isotropic\(d=3, F=0.975\)\): .*not Hermitian"):
             run_sweep(self.sweep())
-        assert len(built) == 4
+        assert len(built) == self.STEPS
 
     def test_sum_rule(self, monkeypatch):
         # the marginal moves by 9e-10 (within RECON_TOL) and sum_i t_i by
         # about 2.4e-8, beyond the sum rule's 1e-8
         built = self.corrupt_point_3(monkeypatch, lambda sigma: sigma + 3e-10 * np.eye(9))
-        with pytest.raises(InternalConsistencyError, match="sum rule"):
+        with pytest.raises(InternalConsistencyError, match=r"^probe 3 \(isotropic\(d=3, F=0.975\)\): .*sum rule"):
             run_sweep(self.sweep())
-        assert len(built) == 4
+        assert len(built) == self.STEPS
 
     def test_chain_check(self, monkeypatch):
         # at F = 1 the bound meets the oracle; a negative tolerance makes
@@ -207,21 +303,22 @@ class TestPerPointChecksAtALaterPoint:
         calls = []
         real = certify_module.Detector._result
 
-        def counting(self, half, p, optimize):
+        def counting(self, probe, half, t, p, optimize):
             calls.append(half)
-            return real(self, half, p, optimize)
+            return real(self, probe, half, t, p, optimize)
 
         monkeypatch.setattr(certify_module.Detector, "_result", counting)
-        with pytest.raises(InternalConsistencyError, match="exceeds the coherent information"):
+        with pytest.raises(InternalConsistencyError, match=r"^probe 3 \(isotropic\(d=3, F=1\)\): detected bound"):
             run_sweep(spec)
         assert len(calls) == 4  # points 0-2 passed, point 3 raised
         assert len({id(half) for half in calls}) == 1  # all against the first point's channel half
 
 
 class TestSweepDecompositionCount:
-    """An n-point F sweep makes n + 5 decompositions: the first point's
-    Detector (1) and certify call (5), and one joint-output check per later
-    point.  A fresh Detector per point makes 6 per point."""
+    """An n-point F sweep in chunks of c points makes 5 + ceil(n/c)
+    decompositions: the first point's Detector (1) and channel half (4), and
+    one stacked joint-output check per chunk.  A fresh Detector per point
+    makes 6 per point."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -239,10 +336,17 @@ class TestSweepDecompositionCount:
         return calls
 
     @pytest.mark.parametrize("n", [2, 10])
-    def test_sweep_makes_n_plus_5(self, count, n):
+    def test_sweep_makes_5_plus_chunks(self, count, n):
         spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=n)
         run_sweep(spec)
-        assert len(count) == n + 5
+        assert len(count) == 5 + 1  # c = CERTIFY_CHUNK // 81 = 202 points per chunk at d = 3
+
+    @pytest.mark.parametrize("c", [1, 3, 4])
+    def test_one_decomposition_per_chunk(self, count, monkeypatch, c):
+        monkeypatch.setattr(harness, "CERTIFY_CHUNK", c * 81)  # c points of a d = 3 Bell sweep
+        spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=10)
+        run_sweep(spec)
+        assert len(count) == 5 + math.ceil(10 / c)
 
     @pytest.mark.parametrize("n", [2, 10])
     def test_fresh_detectors_make_6n(self, count, n):
@@ -250,7 +354,7 @@ class TestSweepDecompositionCount:
         fresh_rows(spec)
         assert len(count) == 6 * n
 
-    def test_erasure_sweep_makes_n_plus_5(self, count):
+    def test_erasure_sweep_makes_5_plus_chunks(self, count):
         spec = f_sweep({"type": "erasure", "d": 2, "p": 0.2}, 2, {"type": "erasure_adapted"}, steps=6, optimize=True)
         run_sweep(spec)
-        assert len(count) == 6 + 5
+        assert len(count) == 5 + 1

@@ -279,7 +279,7 @@ class TestWeights:
         probe, terms, povm = weight_cases()[index]
         rho = reduced_system_state(probe)
         pinv = pseudo_inverse(rho.T)
-        t = outcome_weights(probe, povm, pinv, psd_rank(rho))
+        t = outcome_weights(probe.sigma, povm, pinv, psd_rank(rho))
         for w, ops in decompositions(np.random.default_rng(index), terms, probe.sigma):
             np.testing.assert_allclose(t, t_reference(w, ops, povm, pinv), atol=1e-12, rtol=0)
 
