@@ -10,9 +10,7 @@ tomography involved.
 
 from .certify import (
     CertificationResult,
-    ChannelHalf,
     Detector,
-    MarginalHalf,
     certify,
     coherent_information,
     depolarizing_isotropic_qdet,

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .probes import BipartiteProbeState
 CHAIN_TOL = 1e-9
 EXHAUSTIVE_GROUPING_LIMIT = 6  # enumerate all partitions up to this many outcomes
 GROUPING_TOL = 1e-12  # a grouping step must gain more than this; near-ties go to the first candidate
+CERTIFY_CHUNK = 1 << 14  # complex entries of one stacked pass's joint output
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,8 @@ def _best_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
 class MarginalHalf:
     """What the bound takes from a probe's marginal rho = Tr_ref[sigma] alone,
     all from one eigendecomposition of rho^T, which also checks rho as a
-    density matrix.  Every probe with this marginal shares it."""
+    density matrix.  A detector keeps its probe's as ``detector.marginal``
+    and certifies only probes whose marginals agree with it."""
 
     rho: np.ndarray
     input_entropy: float  # S(rho), bits
@@ -177,28 +180,13 @@ class MarginalHalf:
         pinv = (evecs * inverse) @ evecs.conj().T
         return cls(rho, shannon_entropy(spectrum), root, purification, pairs, pinv, int(keep.sum()))
 
-    def check_agrees(self, rho: np.ndarray, names: Sequence[str] = ()) -> None:
-        """Raise unless another probe's marginal, or each of a stack of them,
-        equals this one entrywise within RECON_TOL.  An error names the first
-        failing marginal of a stack by ``names``."""
-        if rho.shape[-2:] != self.rho.shape:
-            raise DimensionMismatchError(f"marginal shape {rho.shape} != shared marginal shape {self.rho.shape}")
-        gaps = np.abs(rho - self.rho).max(axis=(-2, -1)).reshape(-1)
+    def check_agrees(self, rhos: np.ndarray, names: Sequence[str]) -> None:
+        """Raise unless each of a stack of probe marginals equals this one
+        entrywise within RECON_TOL, naming the first that does not."""
+        gaps = np.abs(rhos - self.rho).max(axis=(-2, -1))
         if gaps.max() > RECON_TOL:
             k = int(np.argmax(gaps > RECON_TOL))
-            prefix = f"{names[k]}: " if names else ""
-            raise InvalidStateError(f"{prefix}marginal differs from the shared marginal by {gaps[k]}")
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelHalf:
-    """What the bound takes from one channel at one marginal, each part
-    checked: the output entropy and the exact oracle."""
-
-    channel: QuantumChannel
-    marginal: MarginalHalf
-    output_entropy: float  # S[E(rho)], bits
-    oracle: float  # coherent information I_c = S[E(rho)] - S_e, bits
+            raise InvalidStateError(f"{names[k]}: marginal differs from the shared marginal by {gaps[k]}")
 
 
 class Detector:
@@ -206,130 +194,94 @@ class Detector:
 
     Built and checked once, from the probe's sigma alone: the marginal
     rho = Tr_ref[sigma] and its :class:`MarginalHalf`, and t, one
-    contraction of sigma with pinv(rho^T), with its sum rule.  Given the
-    marginal half of another detector, it checks that its own marginal
-    agrees within RECON_TOL and reuses that half, decomposing nothing.
-    :meth:`certify_many` evaluates a stack of channels on this probe, and
-    :meth:`certify_probes` a stack of probes sharing its marginal half on
-    one channel; both check every joint output, outcome distribution and
-    the chain qdet <= I_c against the exact oracle.
+    contraction of sigma with pinv(rho^T), with its sum rule.
+    :meth:`certify_many` evaluates channels on this probe, and
+    :meth:`certify_probes` probes sharing its marginal on one channel.
+    Both take any iterable and yield results lazily, one chunk at a time:
+    each chunk is pulled in full, so a lazy input builds all its items
+    first, then certified in one stacked pass that checks every joint
+    output, outcome distribution and the chain qdet <= I_c against the
+    exact oracle.  An error names the index, in the whole input, and label
+    of the first failing item.
     """
 
-    def __init__(self, probe: BipartiteProbeState, povm: Povm, marginal: MarginalHalf | None = None):
+    def __init__(self, probe: BipartiteProbeState, povm: Povm):
         d = probe.d
-        rho = partial_trace_reference(probe.sigma, d, d)
-        if marginal is None:
-            marginal = MarginalHalf.of(rho)
-        else:
-            marginal.check_agrees(rho)
         self.probe = probe
         self.povm = povm
-        self.marginal = marginal
-        self.t = outcome_weights(probe.sigma, povm, marginal.rho_t_pinv, marginal.rank)
+        self.marginal = MarginalHalf.of(partial_trace_reference(probe.sigma, d, d))
+        self.t = outcome_weights(probe.sigma, povm, self.marginal.rho_t_pinv, self.marginal.rank)
         self.probe_pairs = transfer_input(probe.sigma, d, d)  # sigma as every channel's transfer matrix reads it
 
-    def certify(self, ch: QuantumChannel, optimize: bool = False, half: ChannelHalf | None = None) -> CertificationResult:
+    def certify(self, ch: QuantumChannel, optimize: bool = False) -> CertificationResult:
         """Bound for one channel; ``optimize`` searches outcome coarse-grainings."""
-        return self.certify_many([ch], optimize, None if half is None else [half])[0]
+        return next(self.certify_many([ch], optimize))
 
-    def _channel_names(self, channels: tuple) -> tuple[list[str], int]:
-        """Each channel's name for errors, and the output dim they share,
-        checked against the probe's input."""
-        d = self.probe.d
-        dims = {(ch.dim_in, ch.dim_out) for ch in channels}
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"channels differ in (dim_in, dim_out): {sorted(dims)}")
-        ((dim_in, dim_out),) = dims
-        if dim_in != d:
-            raise DimensionMismatchError(f"channel input dim {dim_in} != probe dim {d}")
-        return [f"channel {i} ({ch.label})" for i, ch in enumerate(channels)], dim_out
+    def _chunks(self, items: Iterable, kind: str):
+        """Consecutive chunks of ``items``, each pulled in full as a list with
+        its items' error names, sized so that its stacked joint output,
+        povm.dim x povm.dim per point, holds about CERTIFY_CHUNK entries; at
+        least one point each."""
+        size = max(1, CERTIFY_CHUNK // self.povm.dim**2)
+        items, start = iter(items), 0
+        while chunk := list(islice(items, size)):
+            yield chunk, [f"{kind} {start + i} ({item.label})" for i, item in enumerate(chunk)]
+            start += len(chunk)
 
-    def _check_povm(self, dim_out: int) -> None:
-        if self.povm.dim != self.probe.d * dim_out:
-            raise DimensionMismatchError(
-                f"POVM dim {self.povm.dim} != reference x output = {self.probe.d * dim_out}"
-            )
+    def _check_dims(self, channels: list, names: list[str]) -> None:
+        """Each channel's input dim is the probe's, and reference x output the POVM's."""
+        d, dim = self.probe.d, self.povm.dim
+        for name, ch in zip(names, channels):
+            if ch.dim_in != d or d * ch.dim_out != dim:
+                raise DimensionMismatchError(
+                    f"{name}: (dim_in, dim_out) = ({ch.dim_in}, {ch.dim_out}) does not fit probe dim {d}"
+                    f" and POVM dim {dim} = reference x output"
+                )
 
-    def channel_halves(self, channels: Sequence[QuantumChannel]) -> list[ChannelHalf]:
-        """The channel half of each of a sequence of channels sharing
-        (dim_in, dim_out) at this detector's marginal: E(rho) through
-        apply_channel with its check, S[E(rho)], and the purified output,
-        formed and checked as one stack, giving S_e and I_c.  Any detector
-        sharing the marginal half can certify with them."""
-        channels = tuple(channels)
-        if not channels:
-            return []
-        names, _ = self._channel_names(channels)
-        return self._halves(channels, names, np.array([ch.transfer for ch in channels]))
-
-    def _halves(self, channels: tuple, names: list[str], transfers: np.ndarray, given=None) -> list[ChannelHalf]:
-        """The channels' halves: ``given``, once checked to be theirs at this
-        marginal, or else computed as :meth:`channel_halves` describes."""
+    def _halves(self, channels: list, names: list[str], transfers: np.ndarray) -> list[tuple]:
+        """Each channel's (channel, S[E(rho)], I_c) at this detector's
+        marginal: E(rho) through apply_channel with its check, S[E(rho)], and
+        the purified outputs, formed and checked as one stack, giving S_e."""
         marginal = self.marginal
-        if given is not None:
-            if tuple(h.channel for h in given) != channels or any(h.marginal is not marginal for h in given):
-                raise ValueError("channel halves belong to other channels or to another marginal")
-            return list(given)
         # apply_channel checks each E(rho)
         outputs = [_named(name, apply_channel, ch, marginal.rho) for name, ch in zip(names, channels)]
         output_entropies = checked_state_entropies(np.array(outputs))
         purified = apply_transfers(transfers, marginal.purification_pairs, self.probe.d)
         exchange_entropies = spectral_entropies(density_spectra(purified, names))
-        rows = zip(channels, output_entropies, exchange_entropies)
-        return [ChannelHalf(ch, marginal, s, s - s_e) for ch, s, s_e in rows]
+        return [(ch, s, s - s_e) for ch, s, s_e in zip(channels, output_entropies, exchange_entropies)]
 
-    def certify_many(
-        self,
-        channels: Sequence[QuantumChannel],
-        optimize: bool = False,
-        halves: Sequence[ChannelHalf] | None = None,
-    ) -> list[CertificationResult]:
-        """Bound for each of a sequence of channels sharing (dim_in, dim_out),
-        their joint outputs formed and checked as one stack.  ``halves``, the
-        channels' :meth:`channel_halves` from a detector with this marginal
-        half, stand in for computing them again.  An error names the index
-        and label of the first failing channel."""
-        channels = tuple(channels)
-        if not channels:
-            return []
-        names, dim_out = self._channel_names(channels)
-        self._check_povm(dim_out)
-        transfers = np.array([ch.transfer for ch in channels])
-        halves = self._halves(channels, names, transfers, halves)
-        points = [(name, self.probe, half, self.t) for name, half in zip(names, halves)]
-        return self._certify_stack(transfers, self.probe_pairs, points, optimize)
+    def certify_many(self, channels: Iterable[QuantumChannel], optimize: bool = False) -> Iterator[CertificationResult]:
+        """Bound for each channel, in order, every channel's input and output
+        dims checked against the probe and POVM.  Each chunk's halves and
+        joint outputs are formed and checked as stacks."""
+        for chunk, names in self._chunks(channels, "channel"):
+            self._check_dims(chunk, names)
+            transfers = np.array([ch.transfer for ch in chunk])
+            halves = self._halves(chunk, names, transfers)
+            points = [(name, self.probe, half, self.t) for name, half in zip(names, halves)]
+            yield from self._certify_stack(transfers, self.probe_pairs, points, optimize)
 
     def certify_probes(
-        self,
-        probes: Sequence[BipartiteProbeState],
-        ch: QuantumChannel,
-        optimize: bool = False,
-        half: ChannelHalf | None = None,
-    ) -> list[CertificationResult]:
-        """Bound for each of a sequence of probes on one channel, in one
-        stacked pass on this detector's marginal half and POVM: every probe's
-        marginal is checked to agree with that half entrywise within
-        RECON_TOL, and their weights t (each with its sum rule), joint
+        self, probes: Iterable[BipartiteProbeState], ch: QuantumChannel, optimize: bool = False
+    ) -> Iterator[CertificationResult]:
+        """Bound for each probe, in order, on one channel, whose half is
+        computed once, before the first probe is taken.  In each chunk every
+        probe's marginal is checked to agree with this detector's entrywise
+        within RECON_TOL, and their weights t (each with its sum rule), joint
         outputs and outcome distributions are formed and checked as stacks.
-        ``half`` is the channel's :meth:`channel_halves` at this marginal.
-        Each result carries its own probe's t.  An error names the index and
-        label of the first failing probe."""
-        probes = tuple(probes)
-        if not probes:
-            return []
+        Each result carries its own probe's t."""
+        channel_names = [f"channel 0 ({ch.label})"]
+        self._check_dims([ch], channel_names)
+        (half,) = self._halves([ch], channel_names, ch.transfer[None])
         d = self.probe.d
-        if any(probe.d != d for probe in probes):
-            dims = sorted({probe.d for probe in probes})
-            raise DimensionMismatchError(f"probe dims {dims} != detector probe dim {d}")
-        channel_names, dim_out = self._channel_names((ch,))
-        self._check_povm(dim_out)
-        (half,) = self._halves((ch,), channel_names, ch.transfer[None], None if half is None else [half])
-        names = [f"probe {i} ({probe.label})" for i, probe in enumerate(probes)]
-        weights, pairs = self._probe_stack(probes, names)
-        points = [(name, probe, half, t) for name, probe, t in zip(names, probes, weights)]
-        return self._certify_stack(ch.transfer, pairs, points, optimize)
+        for chunk, names in self._chunks(probes, "probe"):
+            if dims := sorted({probe.d for probe in chunk} - {d}):
+                raise DimensionMismatchError(f"probe dims {dims} != detector probe dim {d}")
+            weights, pairs = self._probe_stack(chunk, names)
+            points = [(name, probe, half, t) for name, probe, t in zip(names, chunk, weights)]
+            yield from self._certify_stack(ch.transfer, pairs, points, optimize)
 
-    def _probe_stack(self, probes: tuple, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def _probe_stack(self, probes: list, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """Each probe's t, with its sum rule, and its transfer input, from one
         stack of their sigmas, once each marginal is checked against this
         detector's.  The stack is freed on return, before the joint outputs
@@ -343,11 +295,11 @@ class Detector:
         return weights, transfer_input(sigmas, d, d)
 
     def _certify_stack(self, transfers: np.ndarray, pairs: np.ndarray, points: list, optimize: bool):
-        """Results of a stack of (name, probe, channel half, t) points whose
-        joint outputs are one product of ``transfers`` and ``pairs``: the
-        outputs checked with one density_spectra call and their outcome
-        distributions with one probabilities call, then each point's bound
-        on its own."""
+        """Results of a stack of (name, probe, channel half, t) points, a
+        half being (channel, S[E(rho)], I_c), whose joint outputs are one
+        product of ``transfers`` and ``pairs``: the outputs checked with one
+        density_spectra call and their outcome distributions with one
+        probabilities call, then each point's bound on its own."""
         names = [name for name, *_ in points]
         joint = apply_transfers(transfers, pairs, self.probe.d)
         density_spectra(joint, names)
@@ -355,9 +307,9 @@ class Detector:
         rows = zip(points, probabilities)
         return [_named(name, self._result, probe, half, t, p, optimize) for (name, probe, half, t), p in rows]
 
-    def _result(self, probe: BipartiteProbeState, half: ChannelHalf, t, p, optimize: bool) -> CertificationResult:
+    def _result(self, probe: BipartiteProbeState, half: tuple, t, p, optimize: bool) -> CertificationResult:
         """The bound from one point's checked statistics, checked against its oracle."""
-        output_entropy, input_entropy = half.output_entropy, self.marginal.input_entropy
+        (channel, output_entropy, oracle), input_entropy = half, self.marginal.input_entropy
         if optimize:
             qdet, grouping, pm, tm = _best_grouping(p, t, output_entropy)
         else:
@@ -366,8 +318,8 @@ class Detector:
             pm, tm = p, t
         # t . p > 0 was checked by qdet_from_statistics; merging keeps t . p
         prob_entropy, log_tp = shannon_entropy(pm), math.log2(float(tm @ pm))
-        if qdet > half.oracle + CHAIN_TOL:
-            raise InternalConsistencyError(f"detected bound {qdet} exceeds the coherent information {half.oracle}")
+        if qdet > oracle + CHAIN_TOL:
+            raise InternalConsistencyError(f"detected bound {qdet} exceeds the coherent information {oracle}")
         return CertificationResult(
             qdet=qdet,
             output_entropy=output_entropy,
@@ -380,7 +332,7 @@ class Detector:
             probabilities=p,
             weights=t,
             probe_label=probe.label,
-            channel_label=half.channel.label,
+            channel_label=channel.label,
             povm_label=self.povm.name,
         )
 

@@ -13,6 +13,7 @@ import csv
 import io
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +47,6 @@ from .sampling import ShotRecord, derive_subseed, sample_outcomes
 MAX_DIM = 16  # largest `d` a config may ask for; linalg's tolerances hold below ~16
 MAX_STEPS = 10**6  # largest sweep grid
 MAX_SHOTS = 10**9  # most draws one command may ask for; 7-15 s of sampling
-CERTIFY_CHUNK = 1 << 14  # complex entries of one stacked pass's joint output in a sweep
 
 
 def _reader(accepts, expected: str, convert=lambda value: value):
@@ -265,25 +265,14 @@ def _estimate(result: CertificationResult, shots: int, seed: int):
     return estimate_qdet(record, result.weights, result.output_entropy, result.grouping if merged else None), record
 
 
-def _chunks(values, dim: int):
-    """Consecutive (start, values) slices of a grid, each small enough that
-    its stacked joint output, dim x dim per point, holds about CERTIFY_CHUNK
-    entries; at least one point each."""
-    size = max(1, CERTIFY_CHUNK // dim**2)
-    for start in range(0, len(values), size):
-        yield start, values[start : start + size]
-
-
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One certification row per grid point, in grid order, certified in
-    chunks of points, one stacked pass each.  A 'p' sweep keeps one
-    detector and certifies each chunk's channels with one certify_many
-    call.  An 'F' sweep keeps one channel: its first point's detector
-    computes the marginal and channel halves, and each chunk's probes, all
-    built first, go through one certify_probes call on them, which checks
-    every probe's marginal against the shared one.  Every row's finite-shot
-    estimate uses its own point's t.  The swept field needs no value in the
-    config; it must be a field of the section's type."""
+    """One certification row per grid point, in grid order.  One detector,
+    built on the first point, certifies the grid's points, built lazily,
+    in one call: certify_many of the channels for a 'p' sweep,
+    certify_probes of the probes on the one channel for an 'F' sweep, which
+    checks every probe's marginal against the first's.  Every row's
+    finite-shot estimate uses its own point's t.  The swept field needs no
+    value in the config; it must be a field of the section's type."""
     grid = np.linspace(spec.start, spec.stop, spec.steps)
     make_channel, channel_args = read_spec(_CHANNELS, {**spec.channel, spec.variable: spec.start}, "channel")
     make_probe, probe_args = read_spec(_PROBES, {**spec.probe, spec.variable: spec.start}, "probe")
@@ -325,17 +314,12 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         first = probe = swept(values[0])
     d = probe.d
     detector = Detector(probe, _make("povm", make_povm, povm_args, d))
-    if spec.variable == "F":
-        (half,) = detector.channel_halves([channel])
-    rows = []
-    for start, chunk in _chunks(values, detector.povm.dim):
-        built = [first if start + j == 0 else swept(v) for j, v in enumerate(chunk)]  # before any of them is certified
-        if spec.variable == "p":
-            results = detector.certify_many(built, spec.optimize)
-        else:
-            results = detector.certify_probes(built, channel, spec.optimize, half)
-        rows += [row(start + j, v, r) for j, (v, r) in enumerate(zip(chunk, results))]
-    return rows
+    points = chain([first], map(swept, values[1:]))
+    if spec.variable == "p":
+        results = detector.certify_many(points, spec.optimize)
+    else:
+        results = detector.certify_probes(points, channel, spec.optimize)
+    return [row(i, v, r) for i, (v, r) in enumerate(zip(values, results))]
 
 
 FIGURE_FIDELITIES = (1.0, 0.98, 0.95, 0.90)
@@ -343,8 +327,8 @@ FIGURE_FIDELITIES = (1.0, 0.98, 0.95, 0.90)
 
 def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
     """Grid data behind the two reference plots (depolarizing and erasure):
-    each fidelity's detector certifies the grid's channels with one
-    certify_many call per chunk (one in all for the default grid)."""
+    the grid's channels, built once, and each fidelity's detector certifies
+    them with one certify_many call."""
     if which == 1:
         grid = np.linspace(0.0, 0.25, steps)
         povm = bell_povm(2)
@@ -357,16 +341,12 @@ def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
         columns = ["p", "q_exact"] + [f"qdet_F{f:.2f}" for f in FIGURE_FIDELITIES]
     else:
         raise ConfigError(f"unknown figure {which}; pick 1 or 2")
-    detectors = {f: Detector(isotropic_probe(2, f), povm) for f in FIGURE_FIDELITIES}
-    rows = []
-    for _, chunk in _chunks([float(p) for p in grid], povm.dim):
-        channels = [make_channel(p) for p in chunk]
-        qdets = {f: [r.qdet for r in detector.certify_many(channels)] for f, detector in detectors.items()}
-        for j, p in enumerate(chunk):
-            row: dict = {"p": p}
-            if which == 2:
-                row["q_exact"] = erasure_exact_capacity(2, p)
-            rows.append(row | {f"qdet_F{f:.2f}": qdets[f][j] for f in FIGURE_FIDELITIES})
+    grid = [float(p) for p in grid]
+    channels = [make_channel(p) for p in grid]
+    rows = [{"p": p} | ({"q_exact": erasure_exact_capacity(2, p)} if which == 2 else {}) for p in grid]
+    for f in FIGURE_FIDELITIES:
+        for row, result in zip(rows, Detector(isotropic_probe(2, f), povm).certify_many(channels)):
+            row[f"qdet_F{f:.2f}"] = result.qdet
     return columns, rows
 
 

@@ -205,7 +205,7 @@ class TestCertifyMany:
     def test_equals_per_channel_certify(self, seed, optimize):
         for probe, povm, channels in channel_stacks(200 + seed):
             detector = Detector(probe, povm)
-            batched = detector.certify_many(channels, optimize=optimize)
+            batched = list(detector.certify_many(channels, optimize=optimize))
             assert len(batched) == len(channels)
             for result, ch in zip(batched, channels):
                 same_result(result, detector.certify(ch, optimize=optimize))
@@ -213,24 +213,24 @@ class TestCertifyMany:
 
     def test_empty_and_generator_input(self):
         detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
-        assert detector.certify_many([]) == []
+        assert list(detector.certify_many([])) == []
         channels = [depolarizing_channel(2, p) for p in (0.0, 0.1)]
-        assert detector.certify_many(ch for ch in channels) == detector.certify_many(channels)
+        assert list(detector.certify_many(ch for ch in channels)) == list(detector.certify_many(channels))
 
     def test_mixed_dimensions(self):
         detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
         with pytest.raises(DimensionMismatchError):
-            detector.certify_many([depolarizing_channel(2, 0.1), erasure_channel(2, 0.1)])
+            list(detector.certify_many([depolarizing_channel(2, 0.1), erasure_channel(2, 0.1)]))
         with pytest.raises(DimensionMismatchError):
-            detector.certify_many([depolarizing_channel(3, 0.1), depolarizing_channel(3, 0.2)])
+            list(detector.certify_many([depolarizing_channel(3, 0.1), depolarizing_channel(3, 0.2)]))
 
     def test_corrupted_channel_in_the_middle(self):
         channels = [depolarizing_channel(2, p) for p in (0.0, 0.05, 0.1, 0.15, 0.2)]
         object.__setattr__(channels[2], "kraus", tuple(1.1 * k for k in channels[2].kraus))  # bypass construction
         detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
-        detector.certify_many(channels[:2] + channels[3:])
+        list(detector.certify_many(channels[:2] + channels[3:]))
         with pytest.raises(InvalidStateError, match=r"^channel 2 \(depolarizing\(d=2, p=0.1\)\): "):
-            detector.certify_many(channels)
+            list(detector.certify_many(channels))
 
     @pytest.mark.parametrize("corrupted", ["probe output", "purified output"])
     def test_stacked_output_check_names_the_channel(self, corrupted, monkeypatch):
@@ -246,7 +246,7 @@ class TestCertifyMany:
         channels = [depolarizing_channel(2, p) for p in (0.0, 0.05, 0.1, 0.15, 0.2)]
         monkeypatch.setattr(certify_module, "apply_transfers", corrupting)
         with pytest.raises(InvalidStateError, match=r"^channel 3 \(depolarizing\(d=2, p=0.15\)\): .*not Hermitian"):
-            detector.certify_many(channels)
+            list(detector.certify_many(channels))
 
     def test_statistics_checks_name_the_channel(self, monkeypatch):
         povm = bell_povm(2)
@@ -254,8 +254,44 @@ class TestCertifyMany:
         channels = [depolarizing_channel(2, p) for p in (0.0, 0.1)]
         monkeypatch.setattr(certify_module, "CHAIN_TOL", -1.0)
         with pytest.raises(InternalConsistencyError, match=r"^channel 0 \(depolarizing\(d=2, p=0\)\): detected bound"):
-            detector.certify_many(channels)
+            list(detector.certify_many(channels))
         monkeypatch.undo()
         object.__setattr__(povm, "factors", np.sqrt(1.1) * povm.factors)
         with pytest.raises(InvalidStateError, match=r"^channel 0 .*sum to"):
-            detector.certify_many(channels)
+            list(detector.certify_many(channels))
+
+
+class TestLazyChunks:
+    """certify_many and certify_probes pull their input one chunk at a time:
+    the first result comes before the second chunk is taken."""
+
+    @staticmethod
+    def counting(items, pulled: list):
+        for item in items:
+            pulled.append(item)
+            yield item
+
+    def test_channels(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * 16)  # 3 points of a d = 2 Bell detector
+        detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        pulled = []
+        channels = (depolarizing_channel(2, 0.02 * k) for k in range(8))
+        results = detector.certify_many(self.counting(channels, pulled))
+        assert pulled == []
+        first = next(results)
+        assert len(pulled) == 3
+        assert len([first, *results]) == len(pulled) == 8
+        assert list(detector.certify_many([])) == []
+
+    def test_probes(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * 16)
+        detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
+        ch = depolarizing_channel(2, 0.1)
+        pulled = []
+        probes = (isotropic_probe(2, 0.9 + 0.01 * k) for k in range(8))
+        results = detector.certify_probes(self.counting(probes, pulled), ch)
+        assert pulled == []
+        first = next(results)
+        assert len(pulled) == 3
+        assert len([first, *results]) == len(pulled) == 8
+        assert list(detector.certify_probes(iter([]), ch)) == []

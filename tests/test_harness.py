@@ -1,3 +1,4 @@
+import importlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -17,7 +18,7 @@ from qcapdet import (
     t_vector,
 )
 from qcapdet import harness
-from qcapdet.errors import ConfigError
+from qcapdet.errors import ConfigError, InvalidStateError
 from qcapdet.harness import (
     MAX_SHOTS,
     SweepSpec,
@@ -32,6 +33,8 @@ from qcapdet.harness import (
     write_csv,
 )
 from qcapdet.sampling import derive_subseed, sample_outcomes
+
+certify_module = importlib.import_module("qcapdet.certify")
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -237,11 +240,11 @@ class TestChunkedSweep:
     """A 'p' sweep certifies its channels in chunks of CERTIFY_CHUNK joint
     output entries; where the chunks fall changes no row."""
 
-    @pytest.mark.parametrize("chunk", [16, 48, 16 * 7, harness.CERTIFY_CHUNK])
+    @pytest.mark.parametrize("chunk", [16, 48, 16 * 7, certify_module.CERTIFY_CHUNK])
     @pytest.mark.parametrize("shots, optimize", [(0, False), (0, True), (1000, False)])
     def test_rows_do_not_depend_on_chunk_size(self, monkeypatch, chunk, shots, optimize):
         doc = {**DEPOL_SWEEP, "sweep": {**DEPOL_SWEEP["sweep"], "steps": 11}, "shots": shots, "optimize": optimize}
-        monkeypatch.setattr(harness, "CERTIFY_CHUNK", chunk)  # d = 2 Bell: 16 entries per point
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", chunk)  # d = 2 Bell: 16 entries per point
         rows = run_sweep(parse_sweep(doc))
         assert [(r["p"], r["qdet"], r.get("qdet_estimate")) for r in rows] == per_point_rows(doc)
 
@@ -252,11 +255,30 @@ class TestChunkedSweep:
             "povm": {"type": "erasure_adapted"},
             "sweep": {"variable": "p", "start": 0.0, "stop": 0.5, "steps": 9},
         }
-        monkeypatch.setattr(harness, "CERTIFY_CHUNK", 2 * 144)  # two points of 12 x 12 per chunk
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 2 * 144)  # two points of 12 x 12 per chunk
         rows = run_sweep(parse_sweep(doc))
         assert [(r["p"], r["qdet"], None) for r in rows] == per_point_rows(doc)
         for row in rows:
             assert abs(row["qdet"] - row["qdet_closed"]) < 1e-10
+
+    def test_error_names_the_grid_index(self, monkeypatch):
+        # chunks of 3 points, so grid point 7 is point 1 of the third chunk
+        make, fields = harness._CHANNELS["depolarizing"]
+        built = []
+
+        def building(d, p):
+            ch = make(d, p)
+            built.append(ch)
+            if len(built) == 8:
+                object.__setattr__(ch, "kraus", tuple(1.1 * k for k in ch.kraus))  # bypass construction
+            return ch
+
+        monkeypatch.setitem(harness._CHANNELS, "depolarizing", (building, fields))
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * 16)
+        doc = {**DEPOL_SWEEP, "sweep": {**DEPOL_SWEEP["sweep"], "steps": 8}}
+        with pytest.raises(InvalidStateError, match=r"^channel 7 \(depolarizing\(d=2, p=0.25\)\): "):
+            run_sweep(parse_sweep(doc))
+        assert len(built) == 8
 
     def test_peak_memory_of_a_d8_sweep(self):
         # The chunks bound the memory: this sweep peaks at about 2.5 MiB,

@@ -2,13 +2,16 @@
 in stacked chunks of probes.
 
 Along an isotropic F sweep the probe's marginal is I/d at every point, so
-run_sweep decomposes it and evaluates the channel's half of the bound (S[E(rho)]
-and the oracle I_c) once, at the first point.  Each chunk of points then goes
-through one Detector.certify_probes pass on those halves, which still runs
-every point's own checks.  These tests compare the sweep with a fresh
-Detector per point, within one chunk and across several, check that a
-marginal which does not agree is refused, that each per-point check still
-fires at a later point, and count the decompositions.
+run_sweep builds one Detector on the first point, which decomposes the
+marginal once, and passes every point's probe to one
+Detector.certify_probes call.  That call evaluates the channel's half of
+the bound (S[E(rho)] and the oracle I_c) once, before it takes the first
+probe, then certifies the probes in chunks of CERTIFY_CHUNK joint-output
+entries, one stacked pass each, which still runs every point's own checks.
+These tests compare the sweep with a fresh Detector per point, within one
+chunk and across several, check that a marginal which does not agree is
+refused, that each per-point check still fires at a later point and names
+its grid index, and count the decompositions.
 """
 
 import importlib
@@ -22,9 +25,7 @@ import pytest
 import qcapdet.harness as harness
 from qcapdet import (
     BipartiteProbeState,
-    ChannelHalf,
     Detector,
-    MarginalHalf,
     SweepSpec,
     bell_povm,
     build_channel,
@@ -42,6 +43,7 @@ from qcapdet.sampling import derive_subseed
 from randinst import random_channel, random_density, random_povm, random_povm_elements
 
 certify_module = importlib.import_module("qcapdet.certify")
+MarginalHalf = certify_module.MarginalHalf
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -123,21 +125,32 @@ class TestAcrossChunks:
     @pytest.mark.parametrize("optimize", [False, True])
     def test_rows(self, monkeypatch, optimize, shots):
         passes = []
-        real = Detector.certify_probes
+        real = Detector._certify_stack
 
-        def counting(self, probes, *args):
-            passes.append(len(probes))
-            return real(self, probes, *args)
+        def counting(self, transfers, pairs, points, optimize):
+            passes.append(len(points))
+            return real(self, transfers, pairs, points, optimize)
 
-        monkeypatch.setattr(Detector, "certify_probes", counting)
         for d, channel, povm in list(sweep_cases(310))[:3]:
-            monkeypatch.setattr(harness, "CERTIFY_CHUNK", 3 * (d * channel["dim_out"]) ** 2)
+            monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * (d * channel["dim_out"]) ** 2)
             spec = f_sweep(channel, d, povm, steps=8, shots=shots, seed=9, optimize=optimize)
-            swept, fresh = run_sweep(spec), fresh_rows(spec)
+            with monkeypatch.context() as sweeping:  # the fresh detectors' passes are not counted
+                sweeping.setattr(Detector, "_certify_stack", counting)
+                swept = run_sweep(spec)
+            fresh = fresh_rows(spec)
             assert [row.keys() for row in swept] == [row.keys() for row in fresh]
             for got, want in zip(swept, fresh):
                 assert got == pytest.approx(want, rel=0.0, abs=1e-12)
         assert passes == [3, 3, 2] * 3
+
+    def test_error_names_the_grid_index(self, monkeypatch):
+        # at F = 1, grid point 7 and point 1 of the third chunk, the bound
+        # meets the oracle; a negative tolerance makes the chain check fire there
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * 16)
+        monkeypatch.setattr(certify_module, "CHAIN_TOL", -1e-6)
+        spec = f_sweep({"type": "depolarizing", "d": 2, "p": 0.05}, 2, {"type": "bell"}, steps=8, start=0.9)
+        with pytest.raises(InternalConsistencyError, match=r"^probe 7 \(isotropic\(d=2, F=1\)\): detected bound"):
+            run_sweep(spec)
 
 
 class TestProbeStack:
@@ -167,7 +180,7 @@ class TestProbeStack:
             probes, povm = self.reference_varied(), random_povm(rng, 9, 6)
         ch = random_channel(rng, 3)
         first = Detector(probes[0], povm)
-        results = first.certify_probes(probes, ch, optimize)
+        results = list(first.certify_probes(probes, ch, optimize))
         if family == "reference_varied":  # each result carries its own probe's t
             assert min(np.abs(a.weights - b.weights).max() for a, b in zip(results, results[1:])) > 1e-3
         for probe, got in zip(probes, results):
@@ -183,7 +196,7 @@ class TestProbeStack:
         first = Detector(probes[0], bell_povm(3))
         object.__setattr__(probes[2], "sigma", probes[2].sigma + 2e-9 * np.eye(9))  # bypass construction
         with pytest.raises(InvalidStateError, match=r"^probe 2 \(isotropic\(d=3, F=0.9\)\): marginal differs"):
-            first.certify_probes(probes, depolarizing_channel(3, 0.1))
+            list(first.certify_probes(probes, depolarizing_channel(3, 0.1)))
 
     def test_sum_rule_names_the_probe(self):
         # the marginal moves by 9e-10 (within RECON_TOL), sum_i t_i by about 2.4e-8
@@ -191,57 +204,36 @@ class TestProbeStack:
         first = Detector(probes[0], bell_povm(3))
         object.__setattr__(probes[3], "sigma", probes[3].sigma + 3e-10 * np.eye(9))
         with pytest.raises(InternalConsistencyError, match=r"^probe 3 \(isotropic\(d=3, F=0.95\)\): t-vector"):
-            first.certify_probes(probes, depolarizing_channel(3, 0.1))
+            list(first.certify_probes(probes, depolarizing_channel(3, 0.1)))
 
     def test_wrong_dimensions_and_halves(self):
         first = Detector(isotropic_probe(2, 0.9), bell_povm(2))
         ch = depolarizing_channel(2, 0.1)
         with pytest.raises(DimensionMismatchError):
-            first.certify_probes(self.stack(d=3), depolarizing_channel(3, 0.1))
+            list(first.certify_probes(self.stack(d=3), depolarizing_channel(3, 0.1)))
         with pytest.raises(DimensionMismatchError):
-            first.certify_probes(self.stack(d=2), depolarizing_channel(3, 0.1))
-        (other,) = first.channel_halves([depolarizing_channel(2, 0.1)])
-        with pytest.raises(ValueError):
-            first.certify_probes(self.stack(d=2), ch, half=other)
-        assert first.certify_probes([], ch) == []
+            list(first.certify_probes(self.stack(d=2), depolarizing_channel(3, 0.1)))
+        assert list(first.certify_probes([], ch)) == []
 
 
 class TestSharedMarginal:
-    def test_reuses_the_halves(self):
-        first = Detector(isotropic_probe(3, 0.9), bell_povm(3))
-        later = Detector(isotropic_probe(3, 0.95), first.povm, first.marginal)
-        assert later.marginal is first.marginal
-        ch = depolarizing_channel(3, 0.1)
-        (half,) = first.channel_halves([ch])
-        assert isinstance(half, ChannelHalf) and half.channel is ch and half.marginal is first.marginal
-        assert later.certify(ch, half=half) == Detector(isotropic_probe(3, 0.95), bell_povm(3)).certify(ch)
-
     def test_marginal_beyond_tolerance(self):
         with open(ROOT / "configs" / "custom_partial_rank.json", encoding="utf-8") as fh:
             partial = build_probe(read(json.load(fh), "probe", harness.json_object))
         first = Detector(isotropic_probe(3, 0.9), bell_povm(3))
+        ch = depolarizing_channel(3, 0.1)
         with pytest.raises(InvalidStateError, match="differs from the shared marginal"):
-            Detector(partial, first.povm, first.marginal)
+            list(first.certify_probes([partial], ch))
         # a marginal off by more than RECON_TOL in one entry
         probe = isotropic_probe(3, 0.9)
         object.__setattr__(probe, "sigma", probe.sigma + 2e-9 * np.eye(9))  # bypass construction
         with pytest.raises(InvalidStateError):
-            Detector(probe, first.povm, first.marginal)
+            list(first.certify_probes([probe], ch))
 
     def test_dimension_mismatch(self):
         first = Detector(isotropic_probe(2, 0.9), bell_povm(2))
         with pytest.raises(DimensionMismatchError):
-            Detector(isotropic_probe(3, 0.9), bell_povm(3), first.marginal)
-
-    def test_halves_of_other_channels_or_marginals(self):
-        first = Detector(isotropic_probe(2, 0.9), bell_povm(2))
-        ch, other = depolarizing_channel(2, 0.1), depolarizing_channel(2, 0.1)
-        (half,) = first.channel_halves([ch])
-        with pytest.raises(ValueError):
-            first.certify(other, half=half)
-        with pytest.raises(ValueError):  # equal marginal, not the same half
-            Detector(isotropic_probe(2, 0.95), bell_povm(2)).certify(ch, half=half)
-        assert first.channel_halves([]) == []
+            list(first.certify_probes([isotropic_probe(3, 0.9)], depolarizing_channel(2, 0.1)))
 
     def test_marginal_half_is_frozen(self):
         marginal = MarginalHalf.of(np.eye(2) / 2)
@@ -343,7 +335,7 @@ class TestSweepDecompositionCount:
 
     @pytest.mark.parametrize("c", [1, 3, 4])
     def test_one_decomposition_per_chunk(self, count, monkeypatch, c):
-        monkeypatch.setattr(harness, "CERTIFY_CHUNK", c * 81)  # c points of a d = 3 Bell sweep
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", c * 81)  # c points of a d = 3 Bell sweep
         spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=10)
         run_sweep(spec)
         assert len(count) == 5 + math.ceil(10 / c)

@@ -377,5 +377,5 @@ class TestDecompositionCount:
         detector = Detector(isotropic_probe(3, 0.9), bell_povm(3))
         channels = [depolarizing_channel(3, 0.1 * k) for k in range(n)]
         count.clear()
-        detector.certify_many(channels)
+        list(detector.certify_many(channels))
         assert len(count) == 2 * n + 3
