@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -123,78 +123,50 @@ def _membership(n: int) -> tuple[tuple, np.ndarray]:
     return parts, np.array([[[i in g for i in range(n)] for g in part] for part in padded], dtype=float)
 
 
-def _best_grouping(p: np.ndarray, t: np.ndarray, output_entropy: float):
-    """Largest detected bound over coarse-grainings: all set partitions for
-    small POVMs, greedy pairwise merging beyond, each step scoring all its
-    candidates in one pass.  The bound and the merged p, t returned for the
-    chosen grouping (possibly the trivial one) are computed exactly."""
+def _best_grouping(p: np.ndarray, t: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The outcome coarse-graining with the largest detected bound, from p, t
+    alone (S[E(rho)] adds the same to every candidate): the best of all set
+    partitions for small POVMs, greedy pairwise merging beyond, each step
+    scoring all its candidates in one pass; a partition by construction."""
     xlogx = lambda x: x * np.log2(np.where(x > 0.0, x, 1.0))
     pick = lambda g: int(np.argmax(g >= g.max() - GROUPING_TOL)) if g.max() > GROUPING_TOL else None
     if p.size <= EXHAUSTIVE_GROUPING_LIMIT:
         parts, m = _membership(p.size)
         pm, tm = m @ p, m @ t
         score = xlogx(pm).sum(axis=1) - np.log2((tm * pm).sum(axis=1))  # -H(p') - log2(t' . p')
-        grouping = parts[pick(score - score[0]) or 0]
-    else:
-        groups, pm, tm = [(i,) for i in range(p.size)], p, t
-        while len(groups) > 1:
-            a, b = np.triu_indices(len(groups), 1)  # merge candidates in double-loop order
-            cross = tm[a] * pm[b] + tm[b] * pm[a]  # t' . p' - t . p; the gain is H - H' - log2(t' . p' / t . p)
-            gain = xlogx(pm[a] + pm[b]) - xlogx(pm[a]) - xlogx(pm[b]) - np.log2(1.0 + cross / (tm @ pm))
-            if (k := pick(gain)) is None:
-                break
-            a, b = a[k], b[k]
-            groups = [g for j, g in enumerate(groups) if j not in (a, b)] + [groups[a] + groups[b]]
-            pm, tm = (np.append(np.delete(x, (a, b)), x[a] + x[b]) for x in (pm, tm))
-        grouping = tuple(groups)
-    pm, tm = merge_groups(p, t, grouping)  # a partition by construction, so merged unchecked
-    pm = pm.clip(0.0, 1.0)  # as coarse_grain's probability check clamps it
-    return qdet_from_statistics(pm, tm, output_entropy), grouping, pm, tm
+        return parts[pick(score - score[0]) or 0]
+    groups, pm, tm = [(i,) for i in range(p.size)], p, t
+    while len(groups) > 1:
+        a, b = np.triu_indices(len(groups), 1)  # merge candidates in double-loop order
+        cross = tm[a] * pm[b] + tm[b] * pm[a]  # t' . p' - t . p; the gain is H - H' - log2(t' . p' / t . p)
+        gain = xlogx(pm[a] + pm[b]) - xlogx(pm[a]) - xlogx(pm[b]) - np.log2(1.0 + cross / (tm @ pm))
+        if (k := pick(gain)) is None:
+            break
+        a, b = a[k], b[k]
+        groups = [g for j, g in enumerate(groups) if j not in (a, b)] + [groups[a] + groups[b]]
+        pm, tm = (np.append(np.delete(x, (a, b)), x[a] + x[b]) for x in (pm, tm))
+    return tuple(groups)
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalHalf:
-    """What the bound takes from a probe's marginal rho = Tr_ref[sigma] alone,
-    all from one eigendecomposition of rho^T, which also checks rho as a
-    density matrix.  A detector keeps its probe's as ``detector.marginal``
-    and certifies only probes whose marginals agree with it."""
-
-    rho: np.ndarray
-    input_entropy: float  # S(rho), bits
-    root: np.ndarray  # sqrt(rho^T)
-    purification: np.ndarray  # |sqrt(rho^T)>><<sqrt(rho^T)|
-    purification_pairs: np.ndarray  # the purification as every channel's transfer matrix reads it
-    rho_t_pinv: np.ndarray  # pinv(rho^T)
-    rank: int
-
-    @classmethod
-    def of(cls, rho: np.ndarray) -> "MarginalHalf":
-        d = rho.shape[0]
-        evals, evecs = density_eigen(rho.T)  # checks rho^T, so rho, as a density matrix
-        spectrum = np.clip(evals, 0.0, None)
-        keep, inverse = rank_cutoff(evals)
-        root = (evecs * np.sqrt(spectrum)) @ evecs.conj().T
-        psi = double_ket(root)
-        purification = np.outer(psi, psi.conj())
-        pairs = transfer_input(purification, d, d)
-        pinv = (evecs * inverse) @ evecs.conj().T
-        return cls(rho, shannon_entropy(spectrum), root, purification, pairs, pinv, int(keep.sum()))
-
-    def check_agrees(self, rhos: np.ndarray, names: Sequence[str]) -> None:
-        """Raise unless each of a stack of probe marginals equals this one
-        entrywise within RECON_TOL, naming the first that does not."""
-        gaps = np.abs(rhos - self.rho).max(axis=(-2, -1))
-        if gaps.max() > RECON_TOL:
-            k = int(np.argmax(gaps > RECON_TOL))
-            raise InvalidStateError(f"{names[k]}: marginal differs from the shared marginal by {gaps[k]}")
+def grouped_bound(p: np.ndarray, t: np.ndarray, output_entropy: float, grouping) -> tuple[float, float, float]:
+    """(qdet, H(p'), log2(t' . p')) of checked statistics p, t merged into
+    p', t' by ``grouping``, trusted to partition the outcomes: merged
+    unchecked, and only if some group holds several.  Needs no channel;
+    every bound the package reports, exact or finite-shot, is taken here."""
+    if len(grouping) < p.size:
+        p, t = merge_groups(p, t, grouping)
+        p = p.clip(0.0, 1.0)  # as coarse_grain's probability check clamps it
+    qdet = qdet_from_statistics(p, t, output_entropy)  # checks t . p > 0 for the log2 below
+    return qdet, shannon_entropy(p), math.log2(float(t @ p))
 
 
 class Detector:
     """The channel-independent half of the bound for one probe and POVM.
 
     Built and checked once, from the probe's sigma alone: the marginal
-    rho = Tr_ref[sigma] and its :class:`MarginalHalf`, and t, one
-    contraction of sigma with pinv(rho^T), with its sum rule.
+    rho = Tr_ref[sigma]; S(rho), the rank and pseudo-inverse of rho^T and the
+    purification |sqrt(rho^T)>>, all from one eigendecomposition of rho^T that
+    checks rho; and t, one contraction of sigma with pinv(rho^T), with its sum rule.
     :meth:`certify_many` evaluates channels on this probe, and
     :meth:`certify_probes` probes sharing its marginal on one channel.
     Both take any iterable and yield results lazily, one chunk at a time:
@@ -209,8 +181,16 @@ class Detector:
         d = probe.d
         self.probe = probe
         self.povm = povm
-        self.marginal = MarginalHalf.of(partial_trace_reference(probe.sigma, d, d))
-        self.t = outcome_weights(probe.sigma, povm, self.marginal.rho_t_pinv, self.marginal.rank)
+        self.rho = partial_trace_reference(probe.sigma, d, d)
+        evals, evecs = density_eigen(self.rho.T)  # checks rho^T, so rho, as a density matrix
+        spectrum = np.clip(evals, 0.0, None)
+        keep, inverse = rank_cutoff(evals)
+        self.input_entropy = shannon_entropy(spectrum)  # S(rho), bits
+        self.rank = int(keep.sum())
+        self.rho_t_pinv = (evecs * inverse) @ evecs.conj().T
+        psi = double_ket((evecs * np.sqrt(spectrum)) @ evecs.conj().T)  # |sqrt(rho^T)>>
+        self.purification_pairs = transfer_input(np.outer(psi, psi.conj()), d, d)  # as transfer matrices read it
+        self.t = outcome_weights(probe.sigma, povm, self.rho_t_pinv, self.rank)
         self.probe_pairs = transfer_input(probe.sigma, d, d)  # sigma as every channel's transfer matrix reads it
 
     def certify(self, ch: QuantumChannel, optimize: bool = False) -> CertificationResult:
@@ -242,11 +222,10 @@ class Detector:
         """Each channel's (channel, S[E(rho)], I_c) at this detector's
         marginal: E(rho) through apply_channel with its check, S[E(rho)], and
         the purified outputs, formed and checked as one stack, giving S_e."""
-        marginal = self.marginal
         # apply_channel checks each E(rho)
-        outputs = [_named(name, apply_channel, ch, marginal.rho) for name, ch in zip(names, channels)]
+        outputs = [_named(name, apply_channel, ch, self.rho) for name, ch in zip(names, channels)]
         output_entropies = checked_state_entropies(np.array(outputs))
-        purified = apply_transfers(transfers, marginal.purification_pairs, self.probe.d)
+        purified = apply_transfers(transfers, self.purification_pairs, self.probe.d)
         exchange_entropies = spectral_entropies(density_spectra(purified, names))
         return [(ch, s, s - s_e) for ch, s, s_e in zip(channels, output_entropies, exchange_entropies)]
 
@@ -289,9 +268,11 @@ class Detector:
         through the joint pass nearly tripled a d = 16 point's page faults."""
         d = self.probe.d
         sigmas = np.array([probe.sigma for probe in probes])
-        marginal = self.marginal
-        marginal.check_agrees(np.einsum("kiaib->kab", sigmas.reshape(-1, d, d, d, d)), names)
-        weights = outcome_weights(sigmas, self.povm, marginal.rho_t_pinv, marginal.rank, names)
+        gaps = np.abs(np.einsum("kiaib->kab", sigmas.reshape(-1, d, d, d, d)) - self.rho).max(axis=(-2, -1))
+        if gaps.max() > RECON_TOL:
+            k = int(np.argmax(gaps > RECON_TOL))
+            raise InvalidStateError(f"{names[k]}: marginal differs from the shared marginal by {gaps[k]}")
+        weights = outcome_weights(sigmas, self.povm, self.rho_t_pinv, self.rank, names)
         return weights, transfer_input(sigmas, d, d)
 
     def _certify_stack(self, transfers: np.ndarray, pairs: np.ndarray, points: list, optimize: bool):
@@ -309,15 +290,9 @@ class Detector:
 
     def _result(self, probe: BipartiteProbeState, half: tuple, t, p, optimize: bool) -> CertificationResult:
         """The bound from one point's checked statistics, checked against its oracle."""
-        (channel, output_entropy, oracle), input_entropy = half, self.marginal.input_entropy
-        if optimize:
-            qdet, grouping, pm, tm = _best_grouping(p, t, output_entropy)
-        else:
-            grouping = tuple((i,) for i in range(p.size))
-            qdet = qdet_from_statistics(p, t, output_entropy)
-            pm, tm = p, t
-        # t . p > 0 was checked by qdet_from_statistics; merging keeps t . p
-        prob_entropy, log_tp = shannon_entropy(pm), math.log2(float(tm @ pm))
+        channel, output_entropy, oracle = half
+        grouping = _best_grouping(p, t) if optimize else tuple((i,) for i in range(p.size))
+        qdet, prob_entropy, log_tp = grouped_bound(p, t, output_entropy, grouping)
         if qdet > oracle + CHAIN_TOL:
             raise InternalConsistencyError(f"detected bound {qdet} exceeds the coherent information {oracle}")
         return CertificationResult(
@@ -325,9 +300,9 @@ class Detector:
             output_entropy=output_entropy,
             prob_entropy=prob_entropy,
             log_tp=log_tp,
-            input_entropy=input_entropy,
+            input_entropy=self.input_entropy,
             private_lower=qdet,
-            ea_classical_lower=input_entropy + qdet,
+            ea_classical_lower=self.input_entropy + qdet,
             grouping=grouping,
             probabilities=p,
             weights=t,
@@ -338,7 +313,7 @@ class Detector:
 
 
 def _named(name: str, fn, *args):
-    """fn(*args), a CertificationError it raises prefixed by a channel's name, keeping its type."""
+    """fn(*args), a CertificationError it raises prefixed by the failing channel's or probe's name, keeping its type."""
     try:
         return fn(*args)
     except CertificationError as exc:

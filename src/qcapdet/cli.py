@@ -158,7 +158,7 @@ def _cmd_sample(args) -> int:
     shots, seed = run["shots"], run["seed"]
     if shots < 1:
         raise ConfigError("sample requires shots >= 1 (set 'shots' or pass --shots)")
-    result, estimate, record = run_point(probe, channel, povm, shots=shots, seed=seed)
+    result, estimate, record = run_point(probe, channel, povm, **run)
     p = result.probabilities
     freq = record.frequencies()
     rows = [

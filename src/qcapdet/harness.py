@@ -24,7 +24,7 @@ from .certify import (
     depolarizing_isotropic_qdet,
     erasure_exact_capacity,
     erasure_qdet_closed_form,
-    qdet_from_statistics,
+    grouped_bound,
 )
 from .channels import (
     QuantumChannel,
@@ -236,10 +236,10 @@ def estimate_qdet(record: ShotRecord, t, output_entropy: float, grouping=None) -
     """
     if record.shots < 1:
         raise ValueError("shot record is empty")
-    p = record.frequencies()
-    if grouping is not None:
-        p, t = coarse_grain(p, t, grouping)
-    return qdet_from_statistics(p, t, output_entropy)
+    p, t = record.frequencies(), np.asarray(t, dtype=float).reshape(-1)
+    grouping = tuple((i,) for i in range(p.size)) if grouping is None else grouping
+    coarse_grain(p, t, grouping)  # raises unless grouping partitions the outcomes and t is as long as p
+    return grouped_bound(p, t, output_entropy, grouping)[0]
 
 
 def run_point(
@@ -261,8 +261,7 @@ def _estimate(result: CertificationResult, shots: int, seed: int):
     if shots <= 0:
         return None, None
     record = sample_outcomes(result.probabilities, shots, seed)
-    merged = len(result.grouping) < len(result.weights)  # else every group is one outcome: nothing to merge
-    return estimate_qdet(record, result.weights, result.output_entropy, result.grouping if merged else None), record
+    return grouped_bound(record.frequencies(), result.weights, result.output_entropy, result.grouping)[0], record
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:

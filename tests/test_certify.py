@@ -30,7 +30,7 @@ from qcapdet import (
     threshold_fidelity,
 )
 from qcapdet.errors import DegenerateMeasurementError
-from qcapdet.linalg import PINV_CUTOFF, binary_entropy, double_ket, hermitian_eigen, pseudo_inverse
+from qcapdet.linalg import PINV_CUTOFF, binary_entropy, double_ket, hermitian_eigen, matrix_sqrt, pseudo_inverse
 from randinst import (
     decompositions,
     random_channel,
@@ -53,8 +53,10 @@ def measurement_diagnostics(probe, terms, ch, povm):
     (a_l, A_l) of the probe's sigma.
     """
     detector = Detector(probe, povm)
-    root_inv = pseudo_inverse(detector.marginal.root)
-    joint = apply_extended_channel(ch, detector.marginal.purification, probe.d)
+    root = matrix_sqrt(detector.rho.T)
+    psi = double_ket(root)
+    joint = apply_extended_channel(ch, np.outer(psi, psi.conj()), probe.d)
+    root_inv = pseudo_inverse(root)
     evals, evecs = hermitian_eigen(joint)
     keep = evals > PINV_CUTOFF * max(evals.max(), 0.0)
     basis = evecs[:, keep]

@@ -1,6 +1,8 @@
 """The vectorized outcome-grouping search against the per-candidate search it
 replaced, and its acceptance and tie rule."""
 
+import math
+
 import numpy as np
 import pytest
 from randinst import random_channel, random_povm, random_probe
@@ -18,8 +20,10 @@ from qcapdet.certify import (
     EXHAUSTIVE_GROUPING_LIMIT,
     GROUPING_TOL,
     _best_grouping,
+    grouped_bound,
     qdet_from_statistics,
 )
+from qcapdet.linalg import shannon_entropy
 from qcapdet.measurement import coarse_grain, iter_partitions
 
 
@@ -63,6 +67,23 @@ def statistics(probe, channel, povm):
     return raw.probabilities, detector.t, raw.output_entropy, raw.qdet
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+def test_every_bound_is_the_grouped_bound_of_its_statistics(optimize):
+    # the result's bound and its two statistics terms are grouped_bound of
+    # the result's own p, t, S[E(rho)] and grouping, bit for bit: no channel needed
+    merged = 0
+    for n in range(2, 11):
+        for seed in range(6):
+            rng = np.random.default_rng([n, seed, 7])
+            d = int(rng.integers(2, 4))
+            probe, channel, povm = random_probe(rng, d), random_channel(rng, d), random_povm(rng, d * d, n)
+            r = Detector(probe, povm).certify(channel, optimize)
+            got = grouped_bound(r.probabilities, r.weights, r.output_entropy, r.grouping)
+            assert got == (r.qdet, r.prob_entropy, r.log_tp), (n, seed)
+            merged += len(r.grouping) < n
+    assert (merged > 10) == optimize  # optimized instances include real merges
+
+
 OUTCOME_COUNTS = range(2, 17)  # exhaustive up to EXHAUSTIVE_GROUPING_LIMIT, greedy beyond
 
 
@@ -73,10 +94,10 @@ def test_matches_reference_on_random_instances():
             rng = np.random.default_rng([n, seed])
             p, t, entropy, _ = statistics(random_probe(rng, 2), random_channel(rng, 2), random_povm(rng, 4, n))
             want_qdet, want_grouping = reference_grouping(p, t, entropy)
-            qdet, grouping, pm, tm = _best_grouping(p, t, entropy)
+            grouping = _best_grouping(p, t)
+            qdet, _, _ = grouped_bound(p, t, entropy, grouping)
             assert grouping == want_grouping, (n, seed)
             assert qdet == want_qdet, (n, seed)
-            assert qdet == qdet_from_statistics(pm, tm, entropy)
             merged += len(grouping) < n
     assert merged > 200  # the comparison covers real merges, not only trivial groupings
 
@@ -90,9 +111,9 @@ def test_merge_on_rounding_noise_is_not_taken():
     p, t, entropy, raw_qdet = statistics(max_entangled_probe(3), pauli_channel(grid), bell_povm(3))
     old_qdet, old_grouping = reference_grouping(p, t, entropy)
     assert len(old_grouping) < p.size and 0.0 < old_qdet - raw_qdet < GROUPING_TOL
-    qdet, grouping, _, _ = _best_grouping(p, t, entropy)
+    grouping = _best_grouping(p, t)
     assert grouping == tuple((i,) for i in range(p.size))
-    assert qdet == raw_qdet
+    assert grouped_bound(p, t, entropy, grouping)[0] == raw_qdet
 
 
 def split_bell_povm() -> Povm:
@@ -108,9 +129,9 @@ def test_exact_ties_go_to_the_first_candidate():
     # among them (here it returned 3;6;0+1;5+2+4).
     p, t, entropy, _ = statistics(isotropic_probe(2, 0.95), depolarizing_channel(2, 0.05), split_bell_povm())
     old_qdet, _ = reference_grouping(p, t, entropy)
-    qdet, grouping, _, _ = _best_grouping(p, t, entropy)
+    grouping = _best_grouping(p, t)
     assert grouping == ((6,), (0, 1), (2, 4), (3, 5))
-    assert qdet == pytest.approx(old_qdet, abs=1e-12)
+    assert grouped_bound(p, t, entropy, grouping)[0] == pytest.approx(old_qdet, abs=1e-12)
 
 
 def test_exhaustive_tie_goes_to_the_first_partition():
@@ -119,15 +140,15 @@ def test_exhaustive_tie_goes_to_the_first_partition():
     t = np.array([0.5, 0.5, 0.5, 0.5, 1.0])
     values = [qdet_from_statistics(*coarse_grain(p, t, g), 1.0) for g in iter_partitions(5)]
     ties = [g for g, v in zip(iter_partitions(5), values) if v >= max(values) - GROUPING_TOL]
-    _, grouping, _, _ = _best_grouping(p, t, 1.0)
+    grouping = _best_grouping(p, t)
     assert len(ties) > 1 and grouping == ties[0]
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_every_grouping_partitions_the_outcomes(n):
-    # _best_grouping merges its own grouping without checking it, so every
-    # grouping it returns, exhaustive (n <= 6) or greedy, must partition
-    # range(n), and its merged p, t must be what the checked merge gives.
+    # grouped_bound merges the search's grouping without checking it, so every
+    # grouping _best_grouping returns, exhaustive (n <= 6) or greedy, must
+    # partition range(n), and the bound must be what the checked merge gives.
     rng = np.random.default_rng(n)
     for trial in range(40):
         p = rng.dirichlet(np.full(n, 0.3 if trial % 2 else 3.0))
@@ -135,8 +156,10 @@ def test_every_grouping_partitions_the_outcomes(n):
             p[rng.random(n) < 0.3] = 0.0  # outcomes that never occur
             p = p / p.sum() if p.sum() > 0 else np.eye(n)[0]
         t = rng.uniform(0.0, 2.0, n) if trial % 3 else np.ones(n)
-        qdet, grouping, pm, tm = _best_grouping(p, t, rng.uniform(0.5, 3.0))
+        entropy = rng.uniform(0.5, 3.0)
+        grouping = _best_grouping(p, t)
         members = sorted(i for g in grouping for i in g)
         assert members == list(range(n)) and all(grouping), (n, trial, grouping)
         want_p, want_t = coarse_grain(p, t, grouping)
-        assert pm.tolist() == want_p.tolist() and tm.tolist() == want_t.tolist()
+        want = (qdet_from_statistics(want_p, want_t, entropy), shannon_entropy(want_p), math.log2(want_t @ want_p))
+        assert grouped_bound(p, t, entropy, grouping) == want

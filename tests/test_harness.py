@@ -18,7 +18,7 @@ from qcapdet import (
     t_vector,
 )
 from qcapdet import harness
-from qcapdet.errors import ConfigError, InvalidStateError
+from qcapdet.errors import ConfigError, DimensionMismatchError, InvalidStateError
 from qcapdet.harness import (
     MAX_SHOTS,
     SweepSpec,
@@ -119,6 +119,17 @@ class TestEstimator:
         assert estimate == estimate_qdet(record, t_vector(probe, povm), result.output_entropy, result.grouping)
         ungrouped = estimate_qdet(record, t_vector(probe, povm), result.output_entropy)
         assert abs(ungrouped - run_point(probe, channel, povm)[0].qdet) < 0.01
+
+    def test_checks_the_grouping_and_the_weights_length(self):
+        from qcapdet.sampling import ShotRecord
+
+        record = ShotRecord((5, 3, 2), 10, seed=0)
+        for grouping in (((0, 1), (1, 2)), ((0,), (2,))):  # outcome 1 twice, outcome 1 missing
+            with pytest.raises(ValueError, match="not a partition"):
+                estimate_qdet(record, np.ones(3), 1.0, grouping)
+        for grouping in (None, ((0, 1), (2,))):
+            with pytest.raises(DimensionMismatchError):
+                estimate_qdet(record, np.ones(4), 1.0, grouping)
 
     def test_error_shrinks_with_shots(self):
         probe = max_entangled_probe(2)

@@ -43,7 +43,6 @@ from qcapdet.sampling import derive_subseed
 from randinst import random_channel, random_density, random_povm, random_povm_elements
 
 certify_module = importlib.import_module("qcapdet.certify")
-MarginalHalf = certify_module.MarginalHalf
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -234,11 +233,6 @@ class TestSharedMarginal:
         first = Detector(isotropic_probe(2, 0.9), bell_povm(2))
         with pytest.raises(DimensionMismatchError):
             list(first.certify_probes([isotropic_probe(3, 0.9)], depolarizing_channel(2, 0.1)))
-
-    def test_marginal_half_is_frozen(self):
-        marginal = MarginalHalf.of(np.eye(2) / 2)
-        with pytest.raises(AttributeError):
-            marginal.rank = 1
 
 
 class TestPerPointChecksAtALaterPoint:

@@ -229,7 +229,7 @@ class TestProbeStack:
         # loop over each of three decompositions of sigma
         terms = named_terms()[index]
         probe = custom_probe(*terms)
-        rho = Detector(probe, bell_povm(probe.d)).marginal.rho
+        rho = Detector(probe, bell_povm(probe.d)).rho
         for w, ops in decompositions(np.random.default_rng(index), terms, probe.sigma):
             np.testing.assert_allclose(rho, from_terms_reference(w, ops), atol=1e-12, rtol=0)
 
@@ -256,7 +256,7 @@ class TestProbeStack:
         assert probe.d == d
         assert np.array_equal(probe.sigma, sigma)
         detector = Detector(probe, bell_povm(d))
-        pinv = pseudo_inverse(detector.marginal.rho.T)
+        pinv = pseudo_inverse(detector.rho.T)
         np.testing.assert_allclose(detector.t, t_reference(weights, ops, bell_povm(d), pinv), atol=1e-12, rtol=0)
 
 
