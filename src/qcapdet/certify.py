@@ -382,11 +382,14 @@ def erasure_exact_capacity(d: int, p: float) -> float:
     return max(0.0, (1.0 - 2.0 * p)) * math.log2(d)
 
 
-# Closed form qdet(d, p, F) of each channel family whose fidelity threshold
-# the CLI reports.
-THRESHOLD_FAMILIES = {
-    "depolarizing": depolarizing_isotropic_qdet,
-    "erasure": erasure_qdet_closed_form,
+# What is known of each channel family, by its channel config type:
+# (POVM type its closed form holds for, with an isotropic probe; that closed
+# form qdet(d, p, F); exact capacity Q(d, p), or None; published fidelity
+# threshold).  The depolarizing root of the closed form lands near 0.811
+# instead of the quoted 0.818 (see README), so the CLI reports both.
+FAMILIES = {
+    "depolarizing": ("bell", depolarizing_isotropic_qdet, None, 0.818),
+    "erasure": ("erasure_adapted", erasure_qdet_closed_form, erasure_exact_capacity, 0.811),
 }
 
 
@@ -395,16 +398,16 @@ def threshold_fidelity(channel_family: str, d: int) -> float:
     detected bound, located by bisection on the closed forms.
 
     The maximum over the noise p in [0, 1] is taken at p = 0 or p = 1, because
-    both closed forms are convex in p.  The erasure form is affine in p.  The
-    depolarizing form is log2 d - h(x) - x log2(d^2 - 1) with -h convex and
-    x = p_eff affine in p; for F >= 1/d^2, x stays in [0, 1] over the whole
-    range, so its clip only guards rounding.
+    every closed form in FAMILIES is convex in p.  The erasure form is affine
+    in p.  The depolarizing form is log2 d - h(x) - x log2(d^2 - 1) with -h
+    convex and x = p_eff affine in p; for F >= 1/d^2, x stays in [0, 1] over
+    the whole range, so its clip only guards rounding.
     """
-    if channel_family not in THRESHOLD_FAMILIES:
+    if channel_family not in FAMILIES:
         raise ValueError(f"unsupported channel family {channel_family!r}")
     if d < 2:
         raise ValueError(f"dimension {d} must be at least 2")
-    closed = THRESHOLD_FAMILIES[channel_family]
+    closed = FAMILIES[channel_family][1]
     best_at = lambda f: max(closed(d, 0.0, f), closed(d, 1.0, f))
     lo, hi = 1.0 / d**2, 1.0
     if best_at(lo) > 0.0:

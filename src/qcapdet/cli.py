@@ -11,9 +11,10 @@ import argparse
 import json
 import sys
 
-from .certify import THRESHOLD_FAMILIES, threshold_fidelity
+from .certify import FAMILIES, threshold_fidelity
 from .errors import CertificationError, ConfigError
 from .harness import (
+    FIGURES,
     build_channel,
     build_povm,
     build_probe,
@@ -26,11 +27,6 @@ from .harness import (
     figure_rows,
     write_csv,
 )
-
-# Published threshold figures quoted for these two families; the depolarizing
-# root computed from the closed form lands near 0.811 instead of the quoted
-# 0.818 (see README), so both numbers are reported side by side.
-REFERENCE_THRESHOLDS = {"erasure": 0.811, "depolarizing": 0.818}
 
 
 def _load_config(args) -> dict:
@@ -131,7 +127,7 @@ def _cmd_threshold(args) -> int:
         computed = threshold_fidelity(args.family, args.d)
     except (ValueError, OverflowError) as exc:  # --d below 2, or d^2 beyond the float range
         raise ConfigError(f"--d: {exc}") from exc
-    reference = REFERENCE_THRESHOLDS.get(args.family)
+    reference = FAMILIES[args.family][3]
     row = {
         "family": args.family,
         "d": args.d,
@@ -201,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="emit the data grid behind reference figure 1 or 2")
-    p.add_argument("--which", type=int, choices=(1, 2), required=True)
+    p.add_argument("--which", type=int, choices=tuple(FIGURES), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("threshold", help="locate the probe-fidelity certification threshold")
-    p.add_argument("--family", choices=tuple(THRESHOLD_FAMILIES), required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--d", type=int, default=2, help="system dimension (default 2)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_threshold)

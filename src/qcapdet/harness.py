@@ -18,14 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .certify import (
-    CertificationResult,
-    Detector,
-    depolarizing_isotropic_qdet,
-    erasure_exact_capacity,
-    erasure_qdet_closed_form,
-    grouped_bound,
-)
+from .certify import FAMILIES, CertificationResult, Detector, grouped_bound
 from .channels import (
     QuantumChannel,
     depolarizing_channel,
@@ -137,11 +130,6 @@ _POVMS = {
 # Run settings of a config document, read the same way by every command.
 _RUN = [("shots", shot_count, 0), ("seed", integer, 0), ("optimize", boolean, False)]
 _SWEEP = [("variable", text), ("start", real), ("stop", real), ("steps", integer)]
-# Closed forms of qdet by (channel type, POVM type), for isotropic and max_entangled probes.
-_CLOSED_FORMS = {
-    ("depolarizing", "bell"): depolarizing_isotropic_qdet,
-    ("erasure", "erasure_adapted"): erasure_qdet_closed_form,
-}
 
 
 def read(spec: dict, key: str, reader, where: str = "", default=None):
@@ -281,8 +269,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     )
     if spec.variable not in swept_args:
         raise ConfigError(f"sweeping {spec.variable!r} needs a {section} type with a {spec.variable!r} field")
-    probe_ok = spec.probe["type"] in ("isotropic", "max_entangled")
-    closed_form = _CLOSED_FORMS.get((spec.channel["type"], spec.povm["type"])) if probe_ok else None
+    povm_type, closed_form, capacity, _ = FAMILIES.get(spec.channel["type"], (None,) * 4)
+    if povm_type != spec.povm["type"] or spec.probe["type"] not in ("isotropic", "max_entangled"):
+        closed_form = None
 
     def swept(value: float):
         """The swept section's channel or probe at one grid value."""
@@ -297,8 +286,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         fidelity = value if spec.variable == "F" else probe_args.get("F", 1.0)
         if closed_form is not None:
             out["qdet_closed"] = closed_form(d, noise, fidelity)
-        if spec.channel["type"] == "erasure":
-            out["q_exact"] = erasure_exact_capacity(d, noise)
+        if capacity is not None:
+            out["q_exact"] = capacity(d, noise)
         if spec.shots > 0:
             out["qdet_estimate"] = estimate
             out["shots"] = spec.shots
@@ -322,31 +311,26 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
 
 FIGURE_FIDELITIES = (1.0, 0.98, 0.95, 0.90)
+# The two reference plots: (channel family, largest p) of a qubit p grid from 0.
+FIGURES = {1: ("depolarizing", 0.25), 2: ("erasure", 0.5)}
 
 
 def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
-    """Grid data behind the two reference plots (depolarizing and erasure):
-    the grid's channels, built once, and each fidelity's detector certifies
-    them with one certify_many call."""
-    if which == 1:
-        grid = np.linspace(0.0, 0.25, steps)
-        povm = bell_povm(2)
-        make_channel = lambda p: depolarizing_channel(2, p)
-        columns = ["p"] + [f"qdet_F{f:.2f}" for f in FIGURE_FIDELITIES]
-    elif which == 2:
-        grid = np.linspace(0.0, 0.5, steps)
-        povm = erasure_povm(2)
-        make_channel = lambda p: erasure_channel(2, p)
-        columns = ["p", "q_exact"] + [f"qdet_F{f:.2f}" for f in FIGURE_FIDELITIES]
-    else:
+    """Grid data behind a reference plot: the family's qubit channels, built
+    once, certified by one certify_many call per fidelity's detector, with
+    the family's POVM; its exact capacity too, where known."""
+    if which not in FIGURES:
         raise ConfigError(f"unknown figure {which}; pick 1 or 2")
-    grid = [float(p) for p in grid]
-    channels = [make_channel(p) for p in grid]
-    rows = [{"p": p} | ({"q_exact": erasure_exact_capacity(2, p)} if which == 2 else {}) for p in grid]
+    family, stop = FIGURES[which]
+    povm_type, _, capacity, _ = FAMILIES[family]
+    grid = [float(p) for p in np.linspace(0.0, stop, steps)]
+    channels = [_CHANNELS[family][0](2, p) for p in grid]
+    povm = _POVMS[povm_type][0](2)
+    rows = [{"p": p} | ({"q_exact": capacity(2, p)} if capacity else {}) for p in grid]
     for f in FIGURE_FIDELITIES:
         for row, result in zip(rows, Detector(isotropic_probe(2, f), povm).certify_many(channels)):
             row[f"qdet_F{f:.2f}"] = result.qdet
-    return columns, rows
+    return list(rows[0]), rows
 
 
 def format_cell(value) -> str:

@@ -18,11 +18,11 @@ from .errors import DimensionMismatchError, InvalidStateError
 # leaves orders of magnitude of headroom around each of these.
 HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
-ORTHO_TOL = 1e-9
 PSD_TOL = 1e-10
 PROB_TOL = 1e-9
 RECON_TOL = 1e-9
 TP_TOL = 1e-9
+SUM_RULE_TOL = 1e-8  # outcome weights: sum_i t_i = dim_out * rank
 PINV_CUTOFF = 1e-12  # relative to the largest eigenvalue
 
 

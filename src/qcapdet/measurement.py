@@ -24,6 +24,7 @@ from .errors import (
 from .linalg import (
     HERMITIAN_TOL,
     PSD_TOL,
+    SUM_RULE_TOL,
     TP_TOL,
     as_complex_matrix,
     probability_vector,
@@ -201,7 +202,7 @@ def outcome_weights(sigma: np.ndarray, povm: Povm, rho_t_pinv, rank: int, names:
     t = np.where((t < 0.0) & (t > -PSD_TOL), 0.0, t)
     expected = dim_out * rank
     sums = t.sum(axis=-1).reshape(-1)
-    failing = np.abs(sums - expected) > 1e-8
+    failing = np.abs(sums - expected) > SUM_RULE_TOL
     if failing.any():
         k = int(np.argmax(failing))  # the first failing row
         prefix = f"{names[k]}: " if names else ""

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qcapdet.certify import FAMILIES
 from qcapdet.cli import main
 from qcapdet.harness import MAX_SHOTS
 
@@ -107,6 +108,15 @@ class TestThresholdCommand:
         assert 0.805 <= float(values["computed_threshold"]) <= 0.825
         assert float(values["reference_threshold"]) == 0.818
         assert "differs" in out.err
+
+    def test_families_are_the_tables(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["threshold", "--help"])
+        assert "--family {" + ",".join(FAMILIES) + "}" in capsys.readouterr().out
+        for family, (*_, reference) in FAMILIES.items():
+            assert main(["threshold", "--family", family]) == 0
+            header, row = capsys.readouterr().out.split()
+            assert float(dict(zip(header.split(","), row.split(",")))["reference_threshold"]) == reference
 
 
 class TestSampleCommand:

@@ -18,6 +18,7 @@ from qcapdet import (
     t_vector,
 )
 from qcapdet import harness
+from qcapdet.certify import FAMILIES
 from qcapdet.errors import ConfigError, DimensionMismatchError, InvalidStateError
 from qcapdet.harness import (
     MAX_SHOTS,
@@ -145,6 +146,11 @@ class TestEstimator:
         assert np.mean(large) < np.mean(small)
 
 
+def basis_povm(n):
+    """A custom POVM config of the n computational-basis projectors."""
+    return {"type": "custom", "elements": [np.diag(np.eye(n)[i]).tolist() for i in range(n)]}
+
+
 DEPOL_SWEEP = {
     "channel": {"type": "depolarizing", "d": 2, "p": 0.0},
     "probe": {"type": "isotropic", "d": 2, "F": 0.95},
@@ -231,6 +237,57 @@ class TestSweep:
         doc["channel"] = {"type": "pauli", "probs": [[1.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(ConfigError):
             run_sweep(parse_sweep(doc))
+
+    @pytest.mark.parametrize(
+        "channel, probe, povm, columns",
+        [
+            ("depolarizing", {"type": "isotropic", "d": 2, "F": 0.95}, basis_povm(4), ["p", "qdet"]),
+            (
+                "depolarizing",
+                {"type": "bell_diagonal", "q": [[0.9, 0.05], [0.03, 0.02]]},
+                {"type": "bell"},
+                ["p", "qdet"],
+            ),
+            ("erasure", {"type": "isotropic", "d": 2, "F": 0.95}, basis_povm(6), ["p", "qdet", "q_exact"]),
+            (
+                "erasure",
+                {"type": "max_entangled", "d": 3},
+                {"type": "erasure_adapted"},
+                ["p", "qdet", "qdet_closed", "q_exact"],
+            ),
+        ],
+    )
+    def test_closed_form_and_capacity_columns(self, channel, probe, povm, columns):
+        """qdet_closed needs the family's POVM and an isotropic or
+        max_entangled probe; q_exact needs a family with a known capacity."""
+        doc = {
+            "channel": {"type": channel, "d": probe.get("d", 2)},
+            "probe": probe,
+            "povm": povm,
+            "sweep": {"variable": "p", "start": 0.0, "stop": 0.2, "steps": 3},
+        }
+        assert [list(row) for row in run_sweep(parse_sweep(doc))] == [columns] * 3
+
+
+class TestFamilyTable:
+    """Sweeps report each family's closed form and capacity from certify.FAMILIES."""
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variable, start, stop", [("p", 0.0, 0.3), ("F", 0.9, 1.0)])
+    def test_sweeps_report_the_tables_closed_form_and_capacity(self, family, d, variable, start, stop):
+        povm_type, _, capacity, _ = FAMILIES[family]
+        doc = {
+            "channel": {"type": family, "d": d, "p": 0.1},
+            "probe": {"type": "isotropic", "d": d, "F": 0.95},
+            "povm": {"type": povm_type},
+            "sweep": {"variable": variable, "start": start, "stop": stop, "steps": 4},
+        }
+        for row in run_sweep(parse_sweep(doc)):
+            assert abs(row["qdet_closed"] - row["qdet"]) < 1e-10
+            assert ("q_exact" in row) == (capacity is not None)
+            if capacity is not None:
+                assert row["q_exact"] == capacity(d, row.get("p", 0.1))
 
 
 def per_point_rows(doc):
