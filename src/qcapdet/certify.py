@@ -40,7 +40,9 @@ from .linalg import (
     double_ket,
     matrix_sqrt,
     partial_trace_reference,
+    probability_entropies,
     rank_cutoff,
+    reduce_rows,
     shannon_entropy,
     spectral_entropies,
     validate_density_matrix,
@@ -103,16 +105,42 @@ def coherent_information(rho, ch: QuantumChannel) -> float:
     return von_neumann_entropy(apply_channel(ch, rho)) - entropy_exchange(rho, ch)
 
 
-def qdet_from_statistics(p, t, output_entropy: float) -> float:
-    """Detected bound from an outcome distribution and its weights."""
-    p = np.asarray(p, dtype=float).reshape(-1)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if p.shape != t.shape:
+def qdet_from_statistics(p, t, output_entropy):
+    """Detected bound from checked outcome distributions and their weights:
+    one row p (n,) with one output entropy, or a stack (N, n) with one per
+    row, taken in one pass; t is one row, or one per row of p.  Each row is
+    reduced as it would be alone: H(p) over its positive entries, t . p up
+    to its last entry where p or t is nonzero.  So neither the stack nor
+    zero outcomes padding a row change its bound.  Raises for the first row
+    with t . p <= 0, giving its index as the error's ``row``."""
+    rows, t = _statistics(p, t)
+    qdet = np.asarray(output_entropy, dtype=float) - probability_entropies(rows) - _log_totals(rows, t)
+    return float(qdet[0]) if np.ndim(p) == 1 else qdet
+
+
+def _statistics(p, t) -> tuple[np.ndarray, np.ndarray]:
+    """p as a stack (N, n), and t as one too, broadcast if it is one row."""
+    p, t = np.asarray(p, dtype=float), np.asarray(t, dtype=float)
+    if (n := p.shape[-1]) != t.shape[-1]:
         raise DimensionMismatchError("probability and weight vectors differ in length")
-    tp = float(t @ p)
-    if tp <= 0.0:
-        raise DegenerateMeasurementError(f"t . p = {tp} is not positive")
-    return output_entropy - shannon_entropy(p) - math.log2(tp)
+    p, t = p.reshape(-1, n), t.reshape(-1, n)
+    return p, (t if len(t) == len(p) else np.broadcast_to(t, p.shape))
+
+
+def _log_totals(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log2(t . p) of each row of a stack, each t . p checked positive; a
+    BLAS dot per row, over the row's support as in qdet_from_statistics."""
+    dot = lambda w, t, p: np.matmul(t[:, None, :w], p[:, :w, None])[:, 0, 0]
+    if ((p[:, -1] != 0.0) | (t[:, -1] != 0.0)).all():  # no row ends in zeros, as no row is padded
+        tp = dot(p.shape[-1], t, p)
+    else:
+        support = (p != 0.0) | (t != 0.0)
+        tp = reduce_rows(dot, p.shape[-1] - np.argmax(support[:, ::-1], axis=-1), t, p)
+    if (degenerate := tp <= 0.0).any():
+        error = DegenerateMeasurementError(f"t . p = {float(tp[degenerate][0])} is not positive")
+        error.row = int(np.argmax(degenerate))
+        raise error
+    return np.array([math.log2(x) for x in tp.tolist()])  # libm's; numpy's log2 can differ in the last bit
 
 
 @lru_cache(maxsize=None)
@@ -148,16 +176,32 @@ def _best_grouping(p: np.ndarray, t: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def grouped_bound(p: np.ndarray, t: np.ndarray, output_entropy: float, grouping) -> tuple[float, float, float]:
+def grouped_bound(p, t, output_entropy, grouping):
     """(qdet, H(p'), log2(t' . p')) of checked statistics p, t merged into
-    p', t' by ``grouping``, trusted to partition the outcomes: merged
-    unchecked, and only if some group holds several.  Needs no channel;
-    every bound the package reports, exact or finite-shot, is taken here."""
-    if len(grouping) < p.size:
-        p, t = merge_groups(p, t, grouping)
-        p = p.clip(0.0, 1.0)  # as coarse_grain's probability check clamps it
-    qdet = qdet_from_statistics(p, t, output_entropy)  # checks t . p > 0 for the log2 below
-    return qdet, shannon_entropy(p), math.log2(float(t @ p))
+    p', t' by ``grouping``: one row p (n,) with one output entropy and
+    grouping, or a stack (N, n) with one of each per row; t is one row, or
+    one per row of p.  A grouping is trusted to partition the outcomes:
+    merged unchecked, only if some group holds several, into a row padded
+    with zero outcomes to the widest row, which qdet_from_statistics never
+    sees.  qdet comes from one qdet_from_statistics call for the whole
+    stack, H(p') and log2(t' . p') from one more pass each.  Needs no
+    channel; every bound the package reports, exact or finite-shot, is
+    taken here."""
+    if np.ndim(p) == 1:
+        return tuple(float(x[0]) for x in grouped_bound(np.reshape(p, (1, -1)), t, [output_entropy], [grouping]))
+    rows, weights = _statistics(p, t)
+    if merged := [k for k, groups in enumerate(grouping) if len(groups) < rows.shape[1]]:
+        width = max(map(len, grouping))  # the widest row; narrower merged rows are padded
+        p, t = np.array(rows[:, :width]), np.array(weights[:, :width])  # the caller's rows stay as measured
+        for k in merged:
+            p_merged, t_merged = merge_groups(rows[k], weights[k], grouping[k])
+            p[k], t[k] = 0.0, 0.0
+            p[k, : p_merged.size] = p_merged.clip(0.0, 1.0)  # as coarse_grain's probability check clamps it
+            t[k, : t_merged.size] = t_merged
+    else:
+        p, t = rows, weights
+    qdet = qdet_from_statistics(p, t, output_entropy)  # checks every t . p > 0 for the log2 below
+    return qdet, probability_entropies(p), _log_totals(p, t)
 
 
 class Detector:
@@ -279,37 +323,48 @@ class Detector:
         """Results of a stack of (name, probe, channel half, t) points, a
         half being (channel, S[E(rho)], I_c), whose joint outputs are one
         product of ``transfers`` and ``pairs``: the outputs checked with one
-        density_spectra call and their outcome distributions with one
-        probabilities call, then each point's bound on its own."""
+        density_spectra call, their outcome distributions with one
+        probabilities call, and their bounds taken with one grouped_bound
+        call, each row's grouping searched on its own, then checked against
+        their oracles, qdet <= I_c, as one stack."""
         names = [name for name, *_ in points]
         joint = apply_transfers(transfers, pairs, self.probe.d)
         density_spectra(joint, names)
         probabilities = self.povm.probabilities(joint, names)
-        rows = zip(points, probabilities)
-        return [_named(name, self._result, probe, half, t, p, optimize) for (name, probe, half, t), p in rows]
-
-    def _result(self, probe: BipartiteProbeState, half: tuple, t, p, optimize: bool) -> CertificationResult:
-        """The bound from one point's checked statistics, checked against its oracle."""
-        channel, output_entropy, oracle = half
-        grouping = _best_grouping(p, t) if optimize else tuple((i,) for i in range(p.size))
-        qdet, prob_entropy, log_tp = grouped_bound(p, t, output_entropy, grouping)
-        if qdet > oracle + CHAIN_TOL:
-            raise InternalConsistencyError(f"detected bound {qdet} exceeds the coherent information {oracle}")
-        return CertificationResult(
-            qdet=qdet,
-            output_entropy=output_entropy,
-            prob_entropy=prob_entropy,
-            log_tp=log_tp,
-            input_entropy=self.input_entropy,
-            private_lower=qdet,
-            ea_classical_lower=self.input_entropy + qdet,
-            grouping=grouping,
-            probabilities=p,
-            weights=t,
-            probe_label=probe.label,
-            channel_label=channel.label,
-            povm_label=self.povm.name,
-        )
+        weights = np.array([t for *_, t in points])
+        output_entropy, oracle = np.array([half[1:] for _, _, half, _ in points]).T
+        if optimize:
+            groupings = [_best_grouping(p, t) for p, t in zip(probabilities, weights)]
+        else:
+            groupings = [tuple((i,) for i in range(probabilities.shape[1]))] * len(points)
+        try:
+            qdet, prob_entropy, log_tp = grouped_bound(probabilities, weights, output_entropy, groupings)
+        except DegenerateMeasurementError as exc:
+            raise type(exc)(f"{names[exc.row]}: {exc}") from exc
+        if (over := qdet > oracle + CHAIN_TOL).any():
+            k = int(np.argmax(over))
+            raise InternalConsistencyError(
+                f"{names[k]}: detected bound {qdet[k].tolist()} exceeds the coherent information {oracle[k].tolist()}"
+            )
+        rows = zip(points, qdet.tolist(), prob_entropy.tolist(), log_tp.tolist(), groupings, probabilities)
+        return [
+            CertificationResult(
+                qdet=q,
+                output_entropy=half[1],
+                prob_entropy=h,
+                log_tp=log,
+                input_entropy=self.input_entropy,
+                private_lower=q,
+                ea_classical_lower=self.input_entropy + q,
+                grouping=grouping,
+                probabilities=p,
+                weights=t,
+                probe_label=probe.label,
+                channel_label=half[0].label,
+                povm_label=self.povm.name,
+            )
+            for (_, probe, half, t), q, h, log, grouping, p in rows
+        ]
 
 
 def _named(name: str, fn, *args):

@@ -1,8 +1,13 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class CertificationError(Exception):
-    """Base class for numeric failures: an invariant violated at runtime."""
+    """Base class for numeric failures: an invariant violated at runtime.
+    ``row`` is the index of the failing row when a check ran on a stack."""
+
+    row: int | None = None
 
 
 class InvalidStateError(CertificationError):

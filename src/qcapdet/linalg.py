@@ -141,9 +141,37 @@ def checked_state_entropies(stack: np.ndarray) -> list[float]:
     return spectral_entropies(np.linalg.eigvalsh(hermitian_part(stack)))
 
 
+def reduce_rows(reduce, keys: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
+    """reduce(key, *(x[rows] for x in stacks)), a value per row, over the
+    rows of each distinct key in ``keys``, one call per key, gathered in row
+    order.  numpy and BLAS sum a row in blocks that depend on its length, so
+    a reduction that depends on a row's length alone, given as its key,
+    gives each row exactly what it gives that row alone."""
+    if keys.min() == keys.max():
+        return reduce(keys[0], *stacks)
+    out = np.empty(len(keys))
+    for key in np.unique(keys):
+        rows = keys == key
+        out[rows] = reduce(key, *(x[rows] for x in stacks))
+    return out
+
+
+def probability_entropies(p: np.ndarray) -> np.ndarray:
+    """Entropy, in bits, of each row of a stack (N, n) of checked
+    probability vectors, unchecked: -sum x log2 x over the row's positive
+    entries, in order, so that neither its zero entries nor the rows
+    around it change its bits."""
+    positive = p > 0.0
+    terms = p * np.log2(np.where(positive, p, 1.0))
+    if positive.all():
+        return -terms.sum(axis=-1)
+    count = np.count_nonzero(positive, axis=-1)
+    return -reduce_rows(lambda c, x, keep: x[keep].reshape(-1, c).sum(axis=-1), count, terms, positive)
+
+
 def shannon_entropy(p) -> float:
     """Entropy of a probability vector, in bits."""
-    return _entropy_bits(probability_vector(p))
+    return float(probability_entropies(probability_vector(p)[None])[0])
 
 
 def binary_entropy(x: float) -> float:

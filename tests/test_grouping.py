@@ -23,6 +23,7 @@ from qcapdet.certify import (
     grouped_bound,
     qdet_from_statistics,
 )
+from qcapdet.errors import DegenerateMeasurementError
 from qcapdet.linalg import shannon_entropy
 from qcapdet.measurement import coarse_grain, iter_partitions
 
@@ -163,3 +164,50 @@ def test_every_grouping_partitions_the_outcomes(n):
         want_p, want_t = coarse_grain(p, t, grouping)
         want = (qdet_from_statistics(want_p, want_t, entropy), shannon_entropy(want_p), math.log2(want_t @ want_p))
         assert grouped_bound(p, t, entropy, grouping) == want
+
+
+def random_partition(rng, n: int):
+    """A random partition of range(n) into nonempty groups, in order of first member."""
+    owner = rng.integers(0, rng.integers(1, n + 1), n)
+    return tuple(tuple(int(i) for i in np.flatnonzero(owner == g)) for g in dict.fromkeys(owner.tolist()))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 12, 16, 17, 20, 33])
+def test_stacked_bound_is_each_rows_own(n):
+    # numpy and BLAS sum a vector in blocks that depend on its length, so a
+    # merged row padded with zero outcomes inside a stack must still give
+    # bit for bit what grouped_bound gives for that row alone
+    rng = np.random.default_rng([n, 11])
+    rows = 24
+    p = rng.dirichlet(np.full(n, 0.5), rows)
+    p[rng.random((rows, n)) < 0.25] = 0.0  # outcomes that never occur
+    p[p.sum(axis=1) == 0.0, 0] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    t = rng.uniform(0.1, 2.0, (rows, n))
+    t[rng.random((rows, n)) < 0.1] = 0.0  # outcomes of zero weight
+    t[(t * p).sum(axis=1) == 0.0] += 1.0
+    entropy = rng.uniform(0.5, 3.0, rows)
+    singletons = tuple((i,) for i in range(n))
+    groupings = [
+        (singletons, _best_grouping(p[k], t[k]), random_partition(rng, n))[k % 3] for k in range(rows)
+    ]
+    assert len({len(g) for g in groupings}) > 1  # real merges: rows of several widths in one stack
+    for weights in (t, t[0]):  # one weight row per point, or one shared by all
+        stacked = grouped_bound(p, weights, entropy, groupings)
+        qdet = qdet_from_statistics(p, weights, entropy)
+        for k in range(rows):
+            w = weights if weights.ndim == 1 else weights[k]
+            one = grouped_bound(p[k], w, entropy[k], groupings[k])
+            assert tuple(x[k] for x in stacked) == one, (n, k)
+            assert qdet[k] == qdet_from_statistics(p[k], w, entropy[k]), (n, k)
+
+
+def test_stacked_degenerate_row_is_named_by_index():
+    p = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]])
+    t = np.array([1.0, 1.0, 0.0])
+    with pytest.raises(DegenerateMeasurementError, match=r"^t \. p = 0\.0 is not positive$") as raised:
+        grouped_bound(p, t, np.ones(4), [tuple((i,) for i in range(3))] * 4)
+    assert raised.value.row == 1
+    with pytest.raises(DegenerateMeasurementError, match=r"^t \. p = 0\.0 is not positive$") as raised:
+        qdet_from_statistics(p[1], t, 1.0)
+    assert raised.value.row == 0

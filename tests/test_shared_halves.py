@@ -31,12 +31,18 @@ from qcapdet import (
     build_channel,
     build_povm,
     build_probe,
+    certify,
     depolarizing_channel,
     isotropic_probe,
     run_point,
     run_sweep,
 )
-from qcapdet.errors import DimensionMismatchError, InternalConsistencyError, InvalidStateError
+from qcapdet.errors import (
+    DegenerateMeasurementError,
+    DimensionMismatchError,
+    InternalConsistencyError,
+    InvalidStateError,
+)
 from qcapdet.harness import read
 from qcapdet.sampling import derive_subseed
 
@@ -91,6 +97,10 @@ def fresh_rows(spec: SweepSpec) -> list[dict]:
 
 def f_sweep(channel: dict, d: int, povm: dict, steps: int = 4, start: float = 0.85, **run) -> SweepSpec:
     return SweepSpec(channel, {"type": "isotropic", "d": d}, povm, "F", start, 1.0, steps, **run)
+
+
+def p_sweep(channel: dict, probe: dict, steps: int, **run) -> SweepSpec:
+    return SweepSpec(channel, probe, {"type": "bell"}, "p", 0.0, 0.1, steps, **run)
 
 
 class TestSweepMatchesFreshDetectors:
@@ -149,6 +159,36 @@ class TestAcrossChunks:
         monkeypatch.setattr(certify_module, "CHAIN_TOL", -1e-6)
         spec = f_sweep({"type": "depolarizing", "d": 2, "p": 0.05}, 2, {"type": "bell"}, steps=8, start=0.9)
         with pytest.raises(InternalConsistencyError, match=r"^probe 7 \(isotropic\(d=2, F=1\)\): detected bound"):
+            run_sweep(spec)
+
+    def test_p_sweep_error_names_the_grid_index(self, monkeypatch):
+        # the oracle of grid point 7, point 1 of the third chunk, is lowered
+        # far below its bound, so the chain check fires there and nowhere else
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * 16)
+        real = Detector._halves
+
+        def lowering(self, channels, names, transfers):
+            halves = real(self, channels, names, transfers)
+            return [(ch, s, i_c - (name.startswith("channel 7 ") and 1.0)) for name, (ch, s, i_c) in zip(names, halves)]
+
+        monkeypatch.setattr(Detector, "_halves", lowering)
+        spec = p_sweep({"type": "depolarizing", "d": 2}, {"type": "isotropic", "d": 2, "F": 0.95}, 8)
+        with pytest.raises(InternalConsistencyError, match=r"^channel 7 \(depolarizing\(d=2, p=0.1\)\): detected bound"):
+            run_sweep(spec)
+
+    def test_degenerate_statistics_name_the_grid_index(self, monkeypatch):
+        # probe 7's weights are zeroed after their sum rule passed, so only
+        # the stacked t . p > 0 check of the third chunk can see it
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * 16)
+        real = Detector._probe_stack
+
+        def zeroing(self, probes, names):
+            weights, pairs = real(self, probes, names)
+            return np.where([[name.startswith("probe 7 ")] for name in names], 0.0, weights), pairs
+
+        monkeypatch.setattr(Detector, "_probe_stack", zeroing)
+        spec = f_sweep({"type": "depolarizing", "d": 2, "p": 0.05}, 2, {"type": "bell"}, steps=8, start=0.9)
+        with pytest.raises(DegenerateMeasurementError, match=r"^probe 7 \(isotropic\(d=2, F=1\)\): t \. p = 0\.0 is not positive"):
             run_sweep(spec)
 
 
@@ -286,18 +326,26 @@ class TestPerPointChecksAtALaterPoint:
         # the chain check fire there and nowhere else on this grid
         monkeypatch.setattr(certify_module, "CHAIN_TOL", -1e-6)
         spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=4, start=0.9)
-        calls = []
-        real = certify_module.Detector._result
+        halves, bounds = [], []
+        real_stack, real_bound = Detector._certify_stack, certify_module.grouped_bound
 
-        def counting(self, probe, half, t, p, optimize):
-            calls.append(half)
-            return real(self, probe, half, t, p, optimize)
+        def stacking(self, transfers, pairs, points, optimize):
+            halves.extend(half for _, _, half, _ in points)
+            return real_stack(self, transfers, pairs, points, optimize)
 
-        monkeypatch.setattr(certify_module.Detector, "_result", counting)
+        def bounding(*args):
+            bound = real_bound(*args)
+            bounds.append(bound[0])
+            return bound
+
+        monkeypatch.setattr(Detector, "_certify_stack", stacking)
+        monkeypatch.setattr(certify_module, "grouped_bound", bounding)
         with pytest.raises(InternalConsistencyError, match=r"^probe 3 \(isotropic\(d=3, F=1\)\): detected bound"):
             run_sweep(spec)
-        assert len(calls) == 4  # points 0-2 passed, point 3 raised
-        assert len({id(half) for half in calls}) == 1  # all against the first point's channel half
+        assert len(halves) == 4 and len({id(half) for half in halves}) == 1  # all against the first point's channel half
+        (qdet,) = bounds
+        oracle = halves[0][2]
+        assert (qdet[:3] <= oracle - 1e-6).all() and qdet[3] > oracle - 1e-6  # points 0-2 passed, point 3 raised
 
 
 class TestSweepDecompositionCount:
@@ -344,3 +392,42 @@ class TestSweepDecompositionCount:
         spec = f_sweep({"type": "erasure", "d": 2, "p": 0.2}, 2, {"type": "erasure_adapted"}, steps=6, optimize=True)
         run_sweep(spec)
         assert len(count) == 5 + 1
+
+
+class TestOneStatisticsPassPerChunk:
+    """Each certified chunk takes all its bounds with one
+    qdet_from_statistics call: one per certify(), ceil(n/c) for an n-point
+    sweep in chunks of c points, where a bound per point would make n."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        calls = []
+        real = certify_module.qdet_from_statistics
+
+        def counting(p, t, output_entropy):
+            calls.append(len(np.atleast_2d(p)))
+            return real(p, t, output_entropy)
+
+        monkeypatch.setattr(certify_module, "qdet_from_statistics", counting)
+        return calls
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_certify_makes_one(self, rows, optimize):
+        certify(isotropic_probe(3, 0.95), depolarizing_channel(3, 0.05), bell_povm(3), optimize)
+        assert rows == [1]
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("c", [1, 3, 4, 10])
+    def test_p_sweep_makes_one_per_chunk(self, rows, monkeypatch, c, optimize):
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", c * 81)  # c points of a d = 3 Bell sweep
+        spec = p_sweep({"type": "depolarizing", "d": 3}, {"type": "isotropic", "d": 3, "F": 0.95}, 10, optimize=optimize)
+        run_sweep(spec)
+        assert len(rows) == math.ceil(10 / c) and sum(rows) == 10
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("c", [1, 3, 4, 10])
+    def test_f_sweep_makes_one_per_chunk(self, rows, monkeypatch, c, optimize):
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", c * 81)
+        spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=10, optimize=optimize)
+        run_sweep(spec)
+        assert len(rows) == math.ceil(10 / c) and sum(rows) == 10
