@@ -41,6 +41,7 @@ from .linalg import (
     matrix_sqrt,
     partial_trace_reference,
     probability_entropies,
+    probability_vectors,
     rank_cutoff,
     reduce_rows,
     shannon_entropy,
@@ -106,15 +107,17 @@ def coherent_information(rho, ch: QuantumChannel) -> float:
 
 
 def qdet_from_statistics(p, t, output_entropy):
-    """Detected bound from checked outcome distributions and their weights:
-    one row p (n,) with one output entropy, or a stack (N, n) with one per
-    row, taken in one pass; t is one row, or one per row of p.  Each row is
+    """Detected bound from outcome distributions and their weights: one row
+    p (n,) with one output entropy, or a stack (N, n) with one per row,
+    taken in one pass; t is one row, or one per row of p.  Each row is
     reduced as it would be alone: H(p) over its positive entries, t . p up
     to its last entry where p or t is nonzero.  So neither the stack nor
-    zero outcomes padding a row change its bound.  Raises for the first row
-    with t . p <= 0, giving its index as the error's ``row``."""
+    zero outcomes padding a row change its bound.  Checks every t . p > 0,
+    then every row of p as a probability vector, each check over the whole
+    stack; an error gives its first failing row's index as ``row``."""
     rows, t = _statistics(p, t)
-    qdet = np.asarray(output_entropy, dtype=float) - probability_entropies(rows) - _log_totals(rows, t)
+    log_tp = _log_totals(rows, t)
+    qdet = np.asarray(output_entropy, dtype=float) - probability_entropies(probability_vectors(rows)) - log_tp
     return float(qdet[0]) if np.ndim(p) == 1 else qdet
 
 
@@ -131,11 +134,8 @@ def _log_totals(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """log2(t . p) of each row of a stack, each t . p checked positive; a
     BLAS dot per row, over the row's support as in qdet_from_statistics."""
     dot = lambda w, t, p: np.matmul(t[:, None, :w], p[:, :w, None])[:, 0, 0]
-    if ((p[:, -1] != 0.0) | (t[:, -1] != 0.0)).all():  # no row ends in zeros, as no row is padded
-        tp = dot(p.shape[-1], t, p)
-    else:
-        support = (p != 0.0) | (t != 0.0)
-        tp = reduce_rows(dot, p.shape[-1] - np.argmax(support[:, ::-1], axis=-1), t, p)
+    support = (p != 0.0) | (t != 0.0)
+    tp = reduce_rows(dot, p.shape[-1] - np.argmax(support[:, ::-1], axis=-1), t, p)
     if (degenerate := tp <= 0.0).any():
         error = DegenerateMeasurementError(f"t . p = {float(tp[degenerate][0])} is not positive")
         error.row = int(np.argmax(degenerate))
@@ -326,7 +326,8 @@ class Detector:
         density_spectra call, their outcome distributions with one
         probabilities call, and their bounds taken with one grouped_bound
         call, each row's grouping searched on its own, then checked against
-        their oracles, qdet <= I_c, as one stack."""
+        their oracles, qdet <= I_c, as one stack.  Of a t . p > 0 failure and
+        a chain failure, the one at the earlier point is reported."""
         names = [name for name, *_ in points]
         joint = apply_transfers(transfers, pairs, self.probe.d)
         density_spectra(joint, names)
@@ -340,12 +341,11 @@ class Detector:
         try:
             qdet, prob_entropy, log_tp = grouped_bound(probabilities, weights, output_entropy, groupings)
         except DegenerateMeasurementError as exc:
-            raise type(exc)(f"{names[exc.row]}: {exc}") from exc
-        if (over := qdet > oracle + CHAIN_TOL).any():
-            k = int(np.argmax(over))
-            raise InternalConsistencyError(
-                f"{names[k]}: detected bound {qdet[k].tolist()} exceeds the coherent information {oracle[k].tolist()}"
-            )
+            if k := exc.row:  # a chain failure at an earlier point is reported first, as point by point
+                bounds = grouped_bound(probabilities[:k], weights[:k], output_entropy[:k], groupings[:k])
+                _check_chain(names, bounds[0], oracle[:k])
+            raise type(exc)(f"{names[k]}: {exc}") from exc
+        _check_chain(names, qdet, oracle)
         rows = zip(points, qdet.tolist(), prob_entropy.tolist(), log_tp.tolist(), groupings, probabilities)
         return [
             CertificationResult(
@@ -365,6 +365,15 @@ class Detector:
             )
             for (_, probe, half, t), q, h, log, grouping, p in rows
         ]
+
+
+def _check_chain(names: list[str], qdet: np.ndarray, oracle: np.ndarray) -> None:
+    """qdet <= I_c + CHAIN_TOL at every point, else an error naming the first that fails."""
+    if (over := qdet > oracle + CHAIN_TOL).any():
+        k = int(np.argmax(over))
+        raise InternalConsistencyError(
+            f"{names[k]}: detected bound {qdet[k].tolist()} exceeds the coherent information {oracle[k].tolist()}"
+        )
 
 
 def _named(name: str, fn, *args):

@@ -87,7 +87,7 @@ def validate_density_matrix(rho) -> np.ndarray:
 def probability_vectors(p: np.ndarray, names: Sequence[str] = ()) -> np.ndarray:
     """Validate each row (last axis) of a real array as a probability vector
     and clamp it to [0, 1] entrywise.  An error names the first failing row
-    by ``names``."""
+    by ``names`` and gives its index as ``row``."""
     if p.min() < -PROB_TOL or p.max() > 1.0 + PROB_TOL or np.abs(p.sum(axis=-1) - 1.0).max() > PROB_TOL:
         low, high, total = p.min(axis=-1), p.max(axis=-1), p.sum(axis=-1)
         faults = np.reshape(((low < -PROB_TOL) | (high > 1.0 + PROB_TOL), abs(total - 1.0) > PROB_TOL), (2, -1))
@@ -98,22 +98,15 @@ def probability_vectors(p: np.ndarray, names: Sequence[str] = ()) -> np.ndarray:
             if faults[0, k]
             else f"probabilities sum to {total}, not 1"
         )
-        raise InvalidStateError((f"{names[k]}: " if names else "") + message)
+        error = InvalidStateError((f"{names[k]}: " if names else "") + message)
+        error.row = k
+        raise error
     return p.clip(0.0, 1.0)
 
 
 def probability_vector(values) -> np.ndarray:
     """Validate and clamp a probability vector to [0, 1] entrywise."""
     return probability_vectors(np.asarray(values, dtype=float).reshape(-1))
-
-
-def _entropy_bits(spectrum: np.ndarray) -> float:
-    """-sum(x log2 x) over nonnegative weights, with 0 log2 0 = 0."""
-    x = np.asarray(spectrum, dtype=float)
-    x = x[x > 0.0]
-    if x.size == 0:
-        return 0.0
-    return float(-(x * np.log2(x)).sum())
 
 
 def density_eigen(rho) -> SpectralDecomposition:
@@ -125,13 +118,13 @@ def density_eigen(rho) -> SpectralDecomposition:
 def von_neumann_entropy(rho) -> float:
     """Spectral entropy of a density matrix, in bits; checked as by
     validate_density_matrix, from the same eigenvalues."""
-    return _entropy_bits(density_spectra(as_complex_matrix(rho)).clip(0.0, None))
+    return spectral_entropies(density_spectra(as_complex_matrix(rho))[None])[0]
 
 
 def spectral_entropies(evals: np.ndarray) -> list[float]:
     """Entropy, in bits, of each row of a stack of spectra (N, n) that a
     density check has passed."""
-    return [_entropy_bits(row) for row in evals.clip(0.0, None)]
+    return probability_entropies(evals.clip(0.0, None)).tolist()
 
 
 def checked_state_entropies(stack: np.ndarray) -> list[float]:
@@ -157,16 +150,16 @@ def reduce_rows(reduce, keys: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
 
 
 def probability_entropies(p: np.ndarray) -> np.ndarray:
-    """Entropy, in bits, of each row of a stack (N, n) of checked
-    probability vectors, unchecked: -sum x log2 x over the row's positive
-    entries, in order, so that neither its zero entries nor the rows
-    around it change its bits."""
+    """Entropy, in bits, of each row of a stack (N, n) of nonnegative
+    weights, unchecked: -sum x log2 x over the row's positive entries, in
+    order, so that neither its zero entries nor the rows around it change
+    its bits; the one formula for every Shannon and spectral entropy."""
     positive = p > 0.0
     terms = p * np.log2(np.where(positive, p, 1.0))
     if positive.all():
         return -terms.sum(axis=-1)
     count = np.count_nonzero(positive, axis=-1)
-    return -reduce_rows(lambda c, x, keep: x[keep].reshape(-1, c).sum(axis=-1), count, terms, positive)
+    return -reduce_rows(lambda c, x, keep: x[keep].reshape(len(x), c).sum(axis=-1), count, terms, positive)
 
 
 def shannon_entropy(p) -> float:
@@ -178,7 +171,7 @@ def binary_entropy(x: float) -> float:
     """-x log2 x - (1-x) log2 (1-x) for x in [0, 1]."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-    return _entropy_bits(np.array([x, 1.0 - x]))
+    return float(probability_entropies(np.array([[x, 1.0 - x]]))[0])
 
 
 def double_ket(a) -> np.ndarray:

@@ -23,7 +23,7 @@ from qcapdet.certify import (
     grouped_bound,
     qdet_from_statistics,
 )
-from qcapdet.errors import DegenerateMeasurementError
+from qcapdet.errors import DegenerateMeasurementError, InvalidStateError
 from qcapdet.linalg import shannon_entropy
 from qcapdet.measurement import coarse_grain, iter_partitions
 
@@ -211,3 +211,23 @@ def test_stacked_degenerate_row_is_named_by_index():
     with pytest.raises(DegenerateMeasurementError, match=r"^t \. p = 0\.0 is not positive$") as raised:
         qdet_from_statistics(p[1], t, 1.0)
     assert raised.value.row == 0
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ([0.6, 0.6], r"^probabilities sum to 1\.2, not 1$"),
+        ([1.2, -0.2], r"^probability entries outside \[0,1\]: min=-0\.2, max=1\.2$"),
+    ],
+)
+def test_statistics_outside_the_simplex_are_refused(p, message):
+    # a distribution from outside the program is checked, never bounded
+    with pytest.raises(InvalidStateError, match=message) as raised:
+        qdet_from_statistics(p, [1.0, 1.0], 1.0)
+    assert raised.value.row == 0
+    stack = np.array([[0.5, 0.5], [0.25, 0.75], p])
+    with pytest.raises(InvalidStateError, match=message) as raised:
+        qdet_from_statistics(stack, [1.0, 1.0], np.ones(3))
+    assert raised.value.row == 2
+    with pytest.raises(InvalidStateError, match=message):
+        grouped_bound(np.asarray(p), np.ones(2), 1.0, ((0,), (1,)))

@@ -192,6 +192,29 @@ class TestAcrossChunks:
             run_sweep(spec)
 
 
+    @pytest.mark.parametrize("chain, zeroed", [(0, 2), (2, 0)])
+    def test_earlier_of_chain_and_degenerate_failures_is_named(self, monkeypatch, chain, zeroed):
+        # in one chunk, probe `chain` (F = 1, at the oracle exactly) fails the
+        # tightened chain check and probe `zeroed` has its weights zeroed after
+        # their sum rule passed; the earlier of the two is reported
+        monkeypatch.setattr(certify_module, "CHAIN_TOL", -1e-6)
+        real = Detector._probe_stack
+
+        def zeroing(self, probes, names):
+            weights, pairs = real(self, probes, names)
+            return np.where([[name.startswith(f"probe {zeroed} ")] for name in names], 0.0, weights), pairs
+
+        monkeypatch.setattr(Detector, "_probe_stack", zeroing)
+        fidelities = [0.9, 0.95, 0.9]
+        fidelities[chain] = 1.0
+        probes = [isotropic_probe(3, f) for f in fidelities]
+        detector = Detector(probes[0], bell_povm(3))
+        error = InternalConsistencyError if chain < zeroed else DegenerateMeasurementError
+        label = f"probe {min(chain, zeroed)} \\(isotropic\\(d=3, F={fidelities[min(chain, zeroed)]:g}\\)\\): "
+        with pytest.raises(error, match="^" + label):
+            list(detector.certify_probes(probes, depolarizing_channel(3, 0.05)))
+
+
 class TestProbeStack:
     """Detector.certify_probes on a stack of probes sharing one marginal."""
 
