@@ -154,10 +154,10 @@ def probability_entropies(p: np.ndarray) -> np.ndarray:
     weights, unchecked: -sum x log2 x over the row's positive entries, in
     order, so that neither its zero entries nor the rows around it change
     its bits; the one formula for every Shannon and spectral entropy."""
+    if p.min() > 0.0:
+        return -(p * np.log2(p)).sum(axis=-1)
     positive = p > 0.0
     terms = p * np.log2(np.where(positive, p, 1.0))
-    if positive.all():
-        return -terms.sum(axis=-1)
     count = np.count_nonzero(positive, axis=-1)
     return -reduce_rows(lambda c, x, keep: x[keep].reshape(len(x), c).sum(axis=-1), count, terms, positive)
 
