@@ -134,7 +134,7 @@ def _log_totals(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """log2(t . p) of each row of a stack, each t . p checked positive; a
     BLAS dot per row, over the row's support as in qdet_from_statistics."""
     dot = lambda w, t, p: np.matmul(t[:, None, :w], p[:, :w, None])[:, 0, 0]
-    if t[:, -1].all():  # every row's support reaches its last outcome; finding the supports costs 4 dots
+    if t[:, -1].all():  # every row's support reaches its last outcome; finding the supports costs more than the dot
         tp = dot(p.shape[-1], t, p)
     else:
         support = (p != 0.0) | (t != 0.0)
