@@ -34,8 +34,6 @@ from .errors import (
 from .linalg import (
     RECON_TOL,
     binary_entropy,
-    checked_state_entropies,
-    density_eigen,
     density_spectra,
     double_ket,
     matrix_sqrt,
@@ -126,7 +124,11 @@ def _statistics(p, t) -> tuple[np.ndarray, np.ndarray]:
     p, t = np.asarray(p, dtype=float), np.asarray(t, dtype=float)
     if (n := p.shape[-1]) != t.shape[-1]:
         raise DimensionMismatchError("probability and weight vectors differ in length")
+    if n == 0:
+        raise InvalidStateError("probability vector has no entries")
     p, t = p.reshape(-1, n), t.reshape(-1, n)
+    if len(t) not in (1, len(p)):
+        raise DimensionMismatchError(f"{len(t)} weight rows for {len(p)} probability rows")
     return p, (t if len(t) == len(p) else np.broadcast_to(t, p.shape))
 
 
@@ -139,7 +141,7 @@ def _log_totals(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     else:
         support = (p != 0.0) | (t != 0.0)
         tp = reduce_rows(dot, p.shape[-1] - np.argmax(support[:, ::-1], axis=-1), t, p)
-    if (degenerate := tp <= 0.0).any():
+    if (degenerate := ~(tp > 0.0)).any():  # a NaN fails too
         error = DegenerateMeasurementError(f"t . p = {float(tp[degenerate][0])} is not positive")
         error.row = int(np.argmax(degenerate))
         raise error
@@ -229,7 +231,7 @@ class Detector:
         self.probe = probe
         self.povm = povm
         self.rho = partial_trace_reference(probe.sigma, d, d)
-        evals, evecs = density_eigen(self.rho.T)  # checks rho^T, so rho, as a density matrix
+        evals, evecs = density_spectra(self.rho.T, vectors=True)  # checks rho^T, so rho, as a density matrix
         spectrum = np.clip(evals, 0.0, None)
         keep, inverse = rank_cutoff(evals)
         self.input_entropy = shannon_entropy(spectrum)  # S(rho), bits
@@ -267,11 +269,10 @@ class Detector:
 
     def _halves(self, channels: list, names: list[str], transfers: np.ndarray) -> list[tuple]:
         """Each channel's (channel, S[E(rho)], I_c) at this detector's
-        marginal: E(rho) through apply_channel with its check, S[E(rho)], and
-        the purified outputs, formed and checked as one stack, giving S_e."""
-        # apply_channel checks each E(rho)
+        marginal: E(rho) through apply_channel with its check, then S[E(rho)]
+        and the purified outputs, each stack checked as one, giving S_e."""
         outputs = [_named(name, apply_channel, ch, self.rho) for name, ch in zip(names, channels)]
-        output_entropies = checked_state_entropies(np.array(outputs))
+        output_entropies = spectral_entropies(density_spectra(np.array(outputs), names))
         purified = apply_transfers(transfers, self.purification_pairs, self.probe.d)
         exchange_entropies = spectral_entropies(density_spectra(purified, names))
         return [(ch, s, s - s_e) for ch, s, s_e in zip(channels, output_entropies, exchange_entropies)]
@@ -410,6 +411,8 @@ def t_vector(probe: BipartiteProbeState, povm: Povm) -> np.ndarray:
 def hashing_bound(d: int, p: float) -> float:
     """Detected bound for a depolarizing channel probed with a perfect
     maximally entangled state: log2 d - H2(p) - p log2(d^2 - 1)."""
+    if d < 2:
+        raise ValueError(f"dimension {d} must be at least 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength {p} outside [0, 1]")
     return math.log2(d) - binary_entropy(p) - p * math.log2(d * d - 1)
@@ -422,6 +425,8 @@ def depolarizing_isotropic_qdet(d: int, p: float, fidelity: float) -> float:
     p_eff = (d^2 [1 - F(1-p)] + F - p - 1) / (d^2 - 1), which reduces to p at
     perfect fidelity.
     """
+    if d < 2:
+        raise ValueError(f"dimension {d} must be at least 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength {p} outside [0, 1]")
     if not 1.0 / d**2 <= fidelity <= 1.0:
@@ -434,6 +439,8 @@ def depolarizing_isotropic_qdet(d: int, p: float, fidelity: float) -> float:
 def erasure_qdet_closed_form(d: int, p: float, fidelity: float) -> float:
     """Closed form for an erasure channel with an isotropic probe and the
     flag-adapted measurement; equals the exact capacity expression at F = 1."""
+    if d < 2:
+        raise ValueError(f"dimension {d} must be at least 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} outside [0, 1]")
     if not 1.0 / d**2 <= fidelity <= 1.0:
@@ -444,6 +451,8 @@ def erasure_qdet_closed_form(d: int, p: float, fidelity: float) -> float:
 
 def erasure_exact_capacity(d: int, p: float) -> float:
     """(1 - 2p) log2 d for p <= 1/2, zero beyond."""
+    if d < 2:
+        raise ValueError(f"dimension {d} must be at least 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} outside [0, 1]")
     return max(0.0, (1.0 - 2.0 * p)) * math.log2(d)

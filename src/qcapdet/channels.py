@@ -132,12 +132,6 @@ def apply_transfers(transfers: np.ndarray, pairs: np.ndarray, dim_ref: int) -> n
     return out.reshape(product.shape[:-2] + (dim_ref * o, dim_ref * o))
 
 
-def apply_kraus(ch: QuantumChannel, state: np.ndarray, dim_ref: int) -> np.ndarray:
-    """Unchecked (I_ref x E)(state) through the channel's transfer matrix.
-    With dim_ref = 1 this is E(state)."""
-    return apply_transfers(ch.transfer, transfer_input(state, dim_ref, ch.dim_in), dim_ref)
-
-
 def apply_channel(ch: QuantumChannel, rho) -> np.ndarray:
     """sum_k K rho K^dagger: the extended channel with a one-level reference."""
     return apply_extended_channel(ch, rho, 1)
@@ -151,4 +145,4 @@ def apply_extended_channel(ch: QuantumChannel, sigma, dim_ref: int) -> np.ndarra
         raise DimensionMismatchError(
             f"state dim {sigma.shape[0]} != reference x channel input dim = {dim_ref} x {ch.dim_in}"
         )
-    return validate_density_matrix(apply_kraus(ch, sigma, dim_ref))
+    return validate_density_matrix(apply_transfers(ch.transfer, transfer_input(sigma, dim_ref, ch.dim_in), dim_ref))

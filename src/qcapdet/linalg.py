@@ -41,10 +41,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def density_spectra(stack: np.ndarray, names: Sequence[str] = (), vectors: bool = False):
     """Eigenvalues of each matrix of a complex stack (..., n, n), one eigvalsh
     for the whole stack, after checking that each is a density matrix:
@@ -87,10 +83,13 @@ def validate_density_matrix(rho) -> np.ndarray:
 def probability_vectors(p: np.ndarray, names: Sequence[str] = ()) -> np.ndarray:
     """Validate each row (last axis) of a real array as a probability vector
     and clamp it to [0, 1] entrywise.  An error names the first failing row
-    by ``names`` and gives its index as ``row``."""
-    if p.min() < -PROB_TOL or p.max() > 1.0 + PROB_TOL or np.abs(p.sum(axis=-1) - 1.0).max() > PROB_TOL:
+    by ``names`` and gives its index as ``row``.  A NaN entry fails."""
+    if p.shape[-1] == 0:
+        raise InvalidStateError("probability vector has no entries")
+    if not (p.min() >= -PROB_TOL and p.max() <= 1.0 + PROB_TOL and np.abs(p.sum(axis=-1) - 1.0).max() <= PROB_TOL):
         low, high, total = p.min(axis=-1), p.max(axis=-1), p.sum(axis=-1)
-        faults = np.reshape(((low < -PROB_TOL) | (high > 1.0 + PROB_TOL), abs(total - 1.0) > PROB_TOL), (2, -1))
+        inside = (low >= -PROB_TOL) & (high <= 1.0 + PROB_TOL)
+        faults = np.reshape((~inside, ~(abs(total - 1.0) <= PROB_TOL)), (2, -1))
         k = int(np.argmax(faults.any(axis=0)))  # the first failing row
         low, high, total = (np.reshape(x, -1)[k] for x in (low, high, total))
         message = (
@@ -109,12 +108,6 @@ def probability_vector(values) -> np.ndarray:
     return probability_vectors(np.asarray(values, dtype=float).reshape(-1))
 
 
-def density_eigen(rho) -> SpectralDecomposition:
-    """Check rho as validate_density_matrix does and return its eigenvalues,
-    descending, with their eigenvectors, all from one decomposition."""
-    return density_spectra(as_complex_matrix(rho), vectors=True)
-
-
 def von_neumann_entropy(rho) -> float:
     """Spectral entropy of a density matrix, in bits; checked as by
     validate_density_matrix, from the same eigenvalues."""
@@ -125,13 +118,6 @@ def spectral_entropies(evals: np.ndarray) -> list[float]:
     """Entropy, in bits, of each row of a stack of spectra (N, n) that a
     density check has passed."""
     return probability_entropies(evals.clip(0.0, None)).tolist()
-
-
-def checked_state_entropies(stack: np.ndarray) -> list[float]:
-    """von_neumann_entropy of each state of a stack (N, n, n) that
-    validate_density_matrix has already passed, without checking it again:
-    one eigvalsh for the stack."""
-    return spectral_entropies(np.linalg.eigvalsh(hermitian_part(stack)))
 
 
 def reduce_rows(reduce, keys: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
@@ -212,7 +198,7 @@ class SpectralDecomposition(NamedTuple):
 def hermitian_eigen(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     m = as_complex_matrix(m)
-    if not is_hermitian(m):
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
         raise InvalidStateError("matrix is not Hermitian within tolerance")
     return _descending_eigh(m)
 

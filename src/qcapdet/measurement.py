@@ -115,18 +115,12 @@ class Povm:
         return probability_vectors(self.traces(state), names)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Row i is Pi_i flattened, so matrix @ X.T.reshape(-1) gives
-        Tr[X Pi_i]; built from the factors on first use."""
+    def elements(self) -> tuple[np.ndarray, ...]:
+        """The dense elements Pi_i, built from the factors on first use."""
         columns = self.factors.T
         stack = np.zeros((len(self), self.dim, self.dim), dtype=complex)
         np.add.at(stack, self.owner, columns[:, :, None] * columns[:, None, :].conj())
-        return stack.reshape(len(self), -1)
-
-    @property
-    def elements(self) -> tuple[np.ndarray, ...]:
-        """The dense elements Pi_i, as views into :attr:`matrix`."""
-        return tuple(self.matrix.reshape(len(self), self.dim, self.dim))
+        return tuple(stack)
 
 
 def bell_povm(d: int) -> Povm:

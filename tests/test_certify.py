@@ -202,6 +202,20 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             erasure_exact_capacity(2, 1.5)
 
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            lambda d: hashing_bound(d, 0.1),
+            lambda d: depolarizing_isotropic_qdet(d, 0.1, 1.0),
+            lambda d: erasure_qdet_closed_form(d, 0.1, 1.0),
+            lambda d: erasure_exact_capacity(d, 0.1),
+        ],
+    )
+    @pytest.mark.parametrize("d", [1, 0, -3])
+    def test_dimension_below_two(self, closed_form, d):
+        with pytest.raises(ValueError, match=rf"^dimension {d} must be at least 2$"):
+            closed_form(d)
+
 
 class TestPipelineAgainstClosedForms:
     def test_hashing_grid(self):

@@ -15,6 +15,7 @@ from qcapdet import (
     isotropic_probe,
     max_entangled_probe,
     pauli_channel,
+    sample_outcomes,
 )
 from qcapdet.certify import (
     EXHAUSTIVE_GROUPING_LIMIT,
@@ -23,8 +24,8 @@ from qcapdet.certify import (
     grouped_bound,
     qdet_from_statistics,
 )
-from qcapdet.errors import DegenerateMeasurementError, InvalidStateError
-from qcapdet.linalg import shannon_entropy
+from qcapdet.errors import DegenerateMeasurementError, DimensionMismatchError, InvalidStateError
+from qcapdet.linalg import probability_vector, probability_vectors, shannon_entropy
 from qcapdet.measurement import coarse_grain, iter_partitions
 
 
@@ -231,3 +232,54 @@ def test_statistics_outside_the_simplex_are_refused(p, message):
     assert raised.value.row == 2
     with pytest.raises(InvalidStateError, match=message):
         grouped_bound(np.asarray(p), np.ones(2), 1.0, ((0,), (1,)))
+
+
+@pytest.mark.parametrize("p, t", [([math.nan, 1.0], [1.0, 1.0]), ([0.5, 0.5], [1.0, math.nan])])
+def test_nan_statistics_are_refused(p, t):
+    # NaN fails every comparison, so each check must be one that NaN fails
+    with pytest.raises(DegenerateMeasurementError, match=r"^t \. p = nan is not positive$") as raised:
+        qdet_from_statistics(p, t, 1.0)
+    assert raised.value.row == 0
+    with pytest.raises(DegenerateMeasurementError, match=r"^t \. p = nan is not positive$") as raised:
+        qdet_from_statistics(np.array([[0.5, 0.5], [0.25, 0.75], p]), np.array([[1.0, 1.0]] * 2 + [t]), np.ones(3))
+    assert raised.value.row == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coarse_grain([math.nan, 1.0], [1.0, 1.0], ((0,), (1,))),
+        lambda: probability_vector([0.5, math.nan]),
+        lambda: sample_outcomes([math.nan, 1.0], 10, 0),
+    ],
+)
+def test_nan_distribution_is_refused(call):
+    with pytest.raises(InvalidStateError, match=r"^probability entries outside \[0,1\]: min=nan, max=nan$"):
+        call()
+
+
+def test_nan_row_of_a_stack_is_named_by_index():
+    with pytest.raises(InvalidStateError, match=r"^b: probability entries outside") as raised:
+        probability_vectors(np.array([[0.5, 0.5], [math.nan, 1.0], [0.7, 0.7]]), ["a", "b", "c"])
+    assert raised.value.row == 1
+
+
+def test_weights_of_another_row_count_are_refused():
+    with pytest.raises(DimensionMismatchError, match=r"^2 weight rows for 1 probability rows$"):
+        qdet_from_statistics([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0]], 1.0)
+    with pytest.raises(DimensionMismatchError, match=r"^2 weight rows for 3 probability rows$"):
+        grouped_bound(np.full((3, 2), 0.5), np.ones((2, 2)), np.ones(3), [((0,), (1,))] * 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qdet_from_statistics([], [], 1.0),
+        lambda: grouped_bound(np.zeros((2, 0)), np.zeros(0), np.ones(2), [()] * 2),
+        lambda: probability_vector([]),
+        lambda: sample_outcomes([], 10, 0),
+    ],
+)
+def test_rows_without_entries_are_refused(call):
+    with pytest.raises(InvalidStateError, match=r"^probability vector has no entries$"):
+        call()

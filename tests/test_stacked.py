@@ -29,7 +29,7 @@ from qcapdet import (
     erasure_povm,
     isotropic_probe,
 )
-from qcapdet.channels import apply_kraus
+from qcapdet.channels import apply_transfers, transfer_input
 from qcapdet.cli import main
 from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import (
@@ -156,7 +156,8 @@ class TestChannelStack:
             g = rng.normal(size=(dim_ref * i,) * 2) + 1j * rng.normal(size=(dim_ref * i,) * 2)
             state = g @ g.conj().T
             brute = sum(np.kron(np.eye(dim_ref), k) @ state @ np.kron(np.eye(dim_ref), k).conj().T for k in ch.kraus)
-            np.testing.assert_allclose(apply_kraus(ch, state, dim_ref), brute, atol=1e-12, rtol=0)
+            output = apply_transfers(ch.transfer, transfer_input(state, dim_ref, i), dim_ref)
+            np.testing.assert_allclose(output, brute, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("d", DIMS)
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])

@@ -10,7 +10,9 @@ root over:
 - every config with a ``sweep`` section, under ``sweep`` (with and without
   ``--shots 2000``);
 - ``figure --which 1`` and ``--which 2``;
-- ``threshold`` for each family, and ``threshold --d 1``, which exits 2.
+- ``threshold`` for each family, and ``threshold --d 1``, which exits 2;
+- ``--help`` of the top-level parser and of each subcommand, with
+  ``COLUMNS=80`` so that argparse wraps the text the same in any terminal.
 
 Each run's exit code, stdout and stderr go to ``OUT/<run>.code``, ``.out``
 and ``.err``.  Exits 1 if any run ends with a code other than 0, 2 or 3, the
@@ -29,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("depolarizing", "erasure")
+COMMANDS = ("certify", "sweep", "figure", "threshold", "sample")
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -50,6 +53,8 @@ def runs() -> list[tuple[str, list[str]]]:
     out += [(f"figure-{which}", ["figure", "--which", str(which)]) for which in (1, 2)]
     out += [(f"threshold-{family}", ["threshold", "--family", family]) for family in FAMILIES]
     out.append(("threshold-erasure-d1", ["threshold", "--family", "erasure", "--d", "1"]))
+    out.append(("help", ["--help"]))
+    out += [(f"help-{command}", [command, "--help"]) for command in COMMANDS]
     return out
 
 
@@ -59,7 +64,7 @@ def main(argv: list[str]) -> int:
         return 2
     src, out = Path(argv[0]).resolve(), Path(argv[1])
     out.mkdir(parents=True, exist_ok=True)
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
     bad, todo = [], runs()
     for name, args in todo:
         done = subprocess.run([sys.executable, "-m", "qcapdet.cli", *args], cwd=ROOT, env=env, capture_output=True)
