@@ -34,6 +34,8 @@ from .errors import (
 from .linalg import (
     RECON_TOL,
     binary_entropy,
+    check_dimension,
+    check_within,
     density_spectra,
     double_ket,
     matrix_sqrt,
@@ -110,26 +112,38 @@ def qdet_from_statistics(p, t, output_entropy):
     taken in one pass; t is one row, or one per row of p.  Each row is
     reduced as it would be alone: H(p) over its positive entries, t . p up
     to its last entry where p or t is nonzero.  So neither the stack nor
-    zero outcomes padding a row change its bound.  Checks every t . p > 0,
-    then every row of p as a probability vector, each check over the whole
-    stack; an error gives its first failing row's index as ``row``."""
-    rows, t = _statistics(p, t)
+    zero outcomes padding a row change its bound.  Checks the shapes and
+    that every output entropy is finite, then every t . p > 0, then every
+    row of p as a probability vector, each check over the whole stack; an
+    error gives its first failing row's index as ``row``."""
+    rows, t, entropy = _statistics(p, t, output_entropy)
     log_tp = _log_totals(rows, t)
-    qdet = np.asarray(output_entropy, dtype=float) - probability_entropies(probability_vectors(rows)) - log_tp
+    qdet = entropy - probability_entropies(probability_vectors(rows)) - log_tp
     return float(qdet[0]) if np.ndim(p) == 1 else qdet
 
 
-def _statistics(p, t) -> tuple[np.ndarray, np.ndarray]:
-    """p as a stack (N, n), and t as one too, broadcast if it is one row."""
+def _statistics(p, t, output_entropy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p as a stack (N, n), N >= 1, t as one too, broadcast if it is one
+    row, and the output entropies as (N,): one for a row p, one per row of
+    a stack, each finite; a non-finite one gives its index as ``row``."""
     p, t = np.asarray(p, dtype=float), np.asarray(t, dtype=float)
-    if (n := p.shape[-1]) != t.shape[-1]:
+    entropy = np.asarray(output_entropy, dtype=float)
+    if p.ndim not in (1, 2) or 0 in p.shape[:-1]:
+        raise DimensionMismatchError(f"probabilities of shape {p.shape} are not one row (n,) or a stack (N, n), N >= 1")
+    if t.ndim not in (1, 2) or (n := p.shape[-1]) != t.shape[-1]:
         raise DimensionMismatchError("probability and weight vectors differ in length")
     if n == 0:
         raise InvalidStateError("probability vector has no entries")
-    p, t = p.reshape(-1, n), t.reshape(-1, n)
+    if entropy.shape != p.shape[:-1]:
+        raise DimensionMismatchError(f"output entropies of shape {entropy.shape} for probabilities of shape {p.shape}")
+    p, t, entropy = p.reshape(-1, n), t.reshape(-1, n), entropy.reshape(-1)
     if len(t) not in (1, len(p)):
         raise DimensionMismatchError(f"{len(t)} weight rows for {len(p)} probability rows")
-    return p, (t if len(t) == len(p) else np.broadcast_to(t, p.shape))
+    if not (finite := np.isfinite(entropy)).all():
+        error = InvalidStateError(f"output entropy {entropy[~finite][0]} is not finite")
+        error.row = int(np.argmin(finite))
+        raise error
+    return p, (t if len(t) == len(p) else np.broadcast_to(t, p.shape)), entropy
 
 
 def _log_totals(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -194,7 +208,7 @@ def grouped_bound(p, t, output_entropy, grouping):
     taken here."""
     if np.ndim(p) == 1:
         return tuple(float(x[0]) for x in grouped_bound(np.reshape(p, (1, -1)), t, [output_entropy], [grouping]))
-    rows, weights = _statistics(p, t)
+    rows, weights, _ = _statistics(p, t, output_entropy)
     if merged := [k for k, groups in enumerate(grouping) if len(groups) < rows.shape[1]]:
         width = max(map(len, grouping))  # the widest row; narrower merged rows are padded
         p, t = np.array(rows[:, :width]), np.array(weights[:, :width])  # the caller's rows stay as measured
@@ -411,10 +425,8 @@ def t_vector(probe: BipartiteProbeState, povm: Povm) -> np.ndarray:
 def hashing_bound(d: int, p: float) -> float:
     """Detected bound for a depolarizing channel probed with a perfect
     maximally entangled state: log2 d - H2(p) - p log2(d^2 - 1)."""
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing strength {p} outside [0, 1]")
+    check_dimension(d)
+    check_within("depolarizing strength", p, 0, 1)
     return math.log2(d) - binary_entropy(p) - p * math.log2(d * d - 1)
 
 
@@ -425,12 +437,9 @@ def depolarizing_isotropic_qdet(d: int, p: float, fidelity: float) -> float:
     p_eff = (d^2 [1 - F(1-p)] + F - p - 1) / (d^2 - 1), which reduces to p at
     perfect fidelity.
     """
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing strength {p} outside [0, 1]")
-    if not 1.0 / d**2 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity {fidelity} outside [{1.0 / d ** 2}, 1]")
+    check_dimension(d)
+    check_within("depolarizing strength", p, 0, 1)
+    check_within("fidelity", fidelity, 1.0 / d**2, 1)
     p_eff = (d * d * (1.0 - fidelity * (1.0 - p)) + fidelity - p - 1.0) / (d * d - 1.0)
     p_eff = min(max(p_eff, 0.0), 1.0)
     return math.log2(d) - binary_entropy(p_eff) - p_eff * math.log2(d * d - 1)
@@ -439,22 +448,17 @@ def depolarizing_isotropic_qdet(d: int, p: float, fidelity: float) -> float:
 def erasure_qdet_closed_form(d: int, p: float, fidelity: float) -> float:
     """Closed form for an erasure channel with an isotropic probe and the
     flag-adapted measurement; equals the exact capacity expression at F = 1."""
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability {p} outside [0, 1]")
-    if not 1.0 / d**2 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity {fidelity} outside [{1.0 / d ** 2}, 1]")
+    check_dimension(d)
+    check_within("erasure probability", p, 0, 1)
+    check_within("fidelity", fidelity, 1.0 / d**2, 1)
     penalty = binary_entropy(fidelity) + (1.0 - fidelity) * math.log2(d * d - 1)
     return (1.0 - 2.0 * p) * math.log2(d) - (1.0 - p) * penalty
 
 
 def erasure_exact_capacity(d: int, p: float) -> float:
     """(1 - 2p) log2 d for p <= 1/2, zero beyond."""
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability {p} outside [0, 1]")
+    check_dimension(d)
+    check_within("erasure probability", p, 0, 1)
     return max(0.0, (1.0 - 2.0 * p)) * math.log2(d)
 
 
@@ -481,8 +485,7 @@ def threshold_fidelity(channel_family: str, d: int) -> float:
     """
     if channel_family not in FAMILIES:
         raise ValueError(f"unsupported channel family {channel_family!r}")
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
+    check_dimension(d)
     closed = FAMILIES[channel_family][1]
     best_at = lambda f: max(closed(d, 0.0, f), closed(d, 1.0, f))
     lo, hi = 1.0 / d**2, 1.0

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .linalg import PROB_TOL, TP_TOL, validate_density_matrix
+from .linalg import PROB_TOL, TP_TOL, check_dimension, check_within, validate_density_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +41,9 @@ class QuantumChannel:
             raise InvalidStateError("Kraus operators contain non-finite entries")
         object.__setattr__(self, "kraus", tuple(stack))
         flat = stack.reshape(-1, self.dim_in)  # sum_k K^dagger K is one product
-        if np.max(np.abs(flat.conj().T @ flat - np.eye(self.dim_in))) > TP_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # near-max entries overflow it to inf, which fails below
+            residual = np.max(np.abs(flat.conj().T @ flat - np.eye(self.dim_in)))
+        if residual > TP_TOL:
             raise InvalidStateError("Kraus operators are not trace preserving")
 
     @cached_property
@@ -81,18 +83,18 @@ def pauli_channel(probs, label: str | None = None) -> QuantumChannel:
     d = p.shape[0]
     if p.min() < 0.0:
         raise InvalidStateError(f"negative Weyl weight {p.min()}")
-    if abs(p.sum() - 1.0) > PROB_TOL:
-        raise InvalidStateError(f"Weyl weights sum to {p.sum()}, not 1")
+    with np.errstate(over="ignore"):  # near-max weights sum to inf, which fails below
+        total = p.sum()
+    if abs(total - 1.0) > PROB_TOL:
+        raise InvalidStateError(f"Weyl weights sum to {total}, not 1")
     kraus = np.sqrt(p).reshape(-1, 1, 1) * weyl_unitaries(d)
     return QuantumChannel(d, d, tuple(kraus), label or f"pauli(d={d})")
 
 
 def depolarizing_channel(d: int, p: float) -> QuantumChannel:
     """Identity with weight 1-p, all other Weyl unitaries with weight p/(d^2-1)."""
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing strength {p} outside [0, 1]")
+    check_dimension(d)
+    check_within("depolarizing strength", p, 0, 1)
     grid = np.full((d, d), p / (d * d - 1))
     grid[0, 0] = 1.0 - p
     return pauli_channel(grid, label=f"depolarizing(d={d}, p={p:g})")
@@ -103,10 +105,8 @@ def erasure_channel(d: int, p: float) -> QuantumChannel:
 
     Output dimension is d+1; the flag is the output basis state at index d.
     """
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability {p} outside [0, 1]")
+    check_dimension(d)
+    check_within("erasure probability", p, 0, 1)
     kraus = np.zeros((d + 1, d + 1, d), dtype=complex)  # the embedding, then one flag operator per input level
     kraus[0, :d] = np.sqrt(1.0 - p) * np.eye(d)
     kraus[1 + np.arange(d), d, np.arange(d)] = np.sqrt(p)

@@ -26,6 +26,18 @@ SUM_RULE_TOL = 1e-8  # outcome weights: sum_i t_i = dim_out * rank
 PINV_CUTOFF = 1e-12  # relative to the largest eigenvalue
 
 
+def check_dimension(d) -> None:
+    """Refuse a subsystem dimension below 2."""
+    if d < 2:
+        raise ValueError(f"dimension {d} must be at least 2")
+
+
+def check_within(what: str, x, low, high) -> None:
+    """Refuse a value outside [low, high]; NaN fails too."""
+    if not low <= x <= high:
+        raise ValueError(f"{what} {x} outside [{low}, {high}]")
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-d complex array."""
     a = np.asarray(m, dtype=complex)
@@ -158,8 +170,7 @@ def shannon_entropy(p) -> float:
 
 def binary_entropy(x: float) -> float:
     """-x log2 x - (1-x) log2 (1-x) for x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
+    check_within("binary entropy argument", x, 0, 1)
     return float(probability_entropies(np.array([[x, 1.0 - x]]))[0])
 
 

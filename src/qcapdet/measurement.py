@@ -27,6 +27,7 @@ from .linalg import (
     SUM_RULE_TOL,
     TP_TOL,
     as_complex_matrix,
+    check_dimension,
     probability_vector,
     probability_vectors,
 )
@@ -60,9 +61,10 @@ class Povm:
                 raise DimensionMismatchError(f"POVM element shape {e.shape} != ({dim}, {dim})")
         stack = np.array(ops)
         adjoint = stack.conj().transpose(0, 2, 1)
-        if np.max(np.abs(stack - adjoint)) > HERMITIAN_TOL:
-            raise InvalidStateError("POVM element is not Hermitian")
-        evals, evecs = np.linalg.eigh((stack + adjoint) / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # a near-max entry overflows to inf, which a check refuses
+            if np.max(np.abs(stack - adjoint)) > HERMITIAN_TOL:
+                raise InvalidStateError("POVM element is not Hermitian")
+            evals, evecs = np.linalg.eigh((stack + adjoint) / 2.0)
         if evals.min() < -PSD_TOL:
             raise InvalidStateError("POVM element is not positive semidefinite")
         # Numerical rank, as numpy's matrix_rank counts it: eigenvalues at
@@ -125,8 +127,7 @@ class Povm:
 
 def bell_povm(d: int) -> Povm:
     """The d^2 projectors onto generalized Bell states, in (m, n) order."""
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
+    check_dimension(d)
     labels = tuple(f"bell_{m}_{n}" for m in range(d) for n in range(d))
     kets = weyl_unitaries(d).reshape(d * d, -1) / np.sqrt(d)  # |U_mn>>/sqrt(d)
     return Povm.from_kets(d * d, kets, labels, name=f"bell(d={d})")
@@ -135,8 +136,7 @@ def bell_povm(d: int) -> Povm:
 def erasure_povm(d: int) -> Povm:
     """Flag-adapted basis on reference x (system + flag): the d^2 Bell states
     on reference x system followed by the d flagged states |i>|e>."""
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
+    check_dimension(d)
     kets = np.zeros((d * d + d, d, d + 1), dtype=complex)  # (outcome, reference, system + flag)
     kets[: d * d, :, :d] = weyl_unitaries(d) / np.sqrt(d)
     kets[d * d + np.arange(d), np.arange(d), d] = 1.0

@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import weyl_unitaries
 from .errors import DimensionMismatchError, InvalidStateError
 from .linalg import PROB_TOL, as_complex_matrix, partial_trace_reference, validate_density_matrix
+from .linalg import check_dimension, check_within
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -76,8 +78,7 @@ def custom_probe(weights, operators, label: str = "custom") -> BipartiteProbeSta
 
 def max_entangled_probe(d: int) -> BipartiteProbeState:
     """Pure probe |I/sqrt(d)>>, the maximally entangled state."""
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
+    check_dimension(d)
     op = np.eye(d, dtype=complex) / np.sqrt(d)
     return custom_probe([1.0], [op], f"max_entangled(d={d})")
 
@@ -88,8 +89,6 @@ def bell_diagonal_probe(q, label: str | None = None) -> BipartiteProbeState:
     The terms U_mn / sqrt(d) have Tr[U^dagger U] / d = 1, so the checks of
     :func:`custom_probe` are exactly that q is nonnegative and sums to 1.
     """
-    from .channels import weyl_unitaries  # local import avoids a cycle
-
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise InvalidStateError(f"Bell weight grid must be square, got {q.shape}")
@@ -103,10 +102,8 @@ def isotropic_probe(d: int, fidelity: float) -> BipartiteProbeState:
     The Bell-basis weights are q[0,0] = fidelity and (1-fidelity)/(d^2-1)
     elsewhere; fidelity must lie in [1/d^2, 1] for positivity.
     """
-    if d < 2:
-        raise ValueError(f"dimension {d} must be at least 2")
-    if not 1.0 / d**2 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity {fidelity} outside [{1.0 / d ** 2}, 1]")
+    check_dimension(d)
+    check_within("fidelity", fidelity, 1.0 / d**2, 1)
     q = np.full((d, d), (1.0 - fidelity) / (d * d - 1))
     q[0, 0] = fidelity
     return bell_diagonal_probe(q, label=f"isotropic(d={d}, F={fidelity:g})")

@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,14 @@ bench_trajectory = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_trajectory)
 
 NAMES = [m["name"] for m in bench_trajectory.end_to_end()]
+PARENT = "0123456789abcdef0123456789abcdef01234567"
+
+
+def rev_parse(monkeypatch, returncode, stdout="", stderr=""):
+    """Answer the tool's ``git rev-parse`` without git, so the tests also run
+    in an export of the tree that is not a checkout."""
+    answer = lambda argv, **kwargs: subprocess.CompletedProcess(argv, returncode, stdout, stderr)
+    monkeypatch.setattr(bench_trajectory, "subprocess", SimpleNamespace(run=answer))
 
 
 def result(tmp_path, side, workload, seed, points_per_s, rss):
@@ -33,7 +43,8 @@ def result(tmp_path, side, workload, seed, points_per_s, rss):
     return str(path)
 
 
-def test_summary_keeps_every_run_and_pairs_by_seed(tmp_path):
+def test_summary_keeps_every_run_and_pairs_by_seed(tmp_path, monkeypatch):
+    rev_parse(monkeypatch, 0, PARENT + "\n")
     base = [result(tmp_path, "base", "sweep_small", s, 100.0 + s, 50.0) for s in (1, 2, 3, 4)]
     change = [result(tmp_path, "change", "sweep_small", s, v, 51.0) for s, v in zip((4, 3, 2, 1), (90.0, 120, 130, 140))]
     out = tmp_path / "bench.json"
@@ -54,7 +65,8 @@ def test_summary_keeps_every_run_and_pairs_by_seed(tmp_path):
     assert len(report["parent_commit"]) == 40 and set(report["metrics"]) == set(NAMES)
 
 
-def test_one_run_per_side_and_bad_input(tmp_path):
+def test_one_run_per_side_and_bad_input(tmp_path, monkeypatch):
+    rev_parse(monkeypatch, 0, PARENT + "\n")
     one = result(tmp_path, "base", "sample_shots", 7, 10.0, 40.0)
     out = tmp_path / "bench.json"
     assert bench_trajectory.main(["--parent", "HEAD", "--base", one, "--change", one, "--out", str(out)]) == 0
@@ -63,3 +75,12 @@ def test_one_run_per_side_and_bad_input(tmp_path):
     (tmp_path / "junk.json").write_text("[]")
     with pytest.raises(SystemExit, match="not a perfbench result file"):
         bench_trajectory.main(["--parent", "HEAD", "--base", str(tmp_path / "junk.json"), "--change", one, "--out", str(out)])
+
+
+def test_unknown_commit_exits_2(tmp_path, monkeypatch, capsys):
+    rev_parse(monkeypatch, 128, stderr="fatal: ambiguous argument 'nope'\n")
+    one = result(tmp_path, "base", "sample_shots", 7, 10.0, 40.0)
+    out = tmp_path / "bench.json"
+    assert bench_trajectory.main(["--parent", "nope", "--base", one, "--change", one, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "unknown commit 'nope': fatal: ambiguous argument 'nope'\n"
+    assert not out.exists()

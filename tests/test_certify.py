@@ -217,6 +217,53 @@ class TestClosedForms:
             closed_form(d)
 
 
+# Every public function that checks a family parameter: its call from
+# (d, p, F), whether it checks d, the name its messages give p (None if it
+# takes no p), and whether it checks F.
+FAMILY_PARAMETER_SITES = {
+    "depolarizing_channel": (lambda d, p, f: depolarizing_channel(d, p), True, "depolarizing strength", False),
+    "erasure_channel": (lambda d, p, f: erasure_channel(d, p), True, "erasure probability", False),
+    "max_entangled_probe": (lambda d, p, f: max_entangled_probe(d), True, None, False),
+    "isotropic_probe": (lambda d, p, f: isotropic_probe(d, f), True, None, True),
+    "bell_povm": (lambda d, p, f: bell_povm(d), True, None, False),
+    "erasure_povm": (lambda d, p, f: erasure_povm(d), True, None, False),
+    "hashing_bound": (lambda d, p, f: hashing_bound(d, p), True, "depolarizing strength", False),
+    "depolarizing_isotropic_qdet": (depolarizing_isotropic_qdet, True, "depolarizing strength", True),
+    "erasure_qdet_closed_form": (erasure_qdet_closed_form, True, "erasure probability", True),
+    "erasure_exact_capacity": (lambda d, p, f: erasure_exact_capacity(d, p), True, "erasure probability", False),
+    "threshold_fidelity": (lambda d, p, f: threshold_fidelity("depolarizing", d), True, None, False),
+    "binary_entropy": (lambda d, p, f: binary_entropy(p), False, "binary entropy argument", False),
+}
+
+
+def _family_parameter_cases():
+    """(site, (d, p, F), message) for each bad value a site refuses; one bad
+    value per case, then several at once, where the first checked is named."""
+    below = np.nextafter(0.25, 0.0)  # just below 1/d^2 at d = 2
+    for site, (_, dimension, noise, fidelity) in FAMILY_PARAMETER_SITES.items():
+        if dimension:
+            yield site, (1, 0.1, 1.0), "dimension 1 must be at least 2"
+        if noise:
+            yield site, (2, 1.5, 1.0), f"{noise} 1.5 outside [0, 1]"
+            yield site, (2, math.nan, 1.0), f"{noise} nan outside [0, 1]"
+        if fidelity:
+            yield site, (2, 0.1, below), "fidelity 0.24999999999999997 outside [0.25, 1]"
+        if dimension and (noise or fidelity):
+            yield site, (1, 1.5, 0.0), "dimension 1 must be at least 2"
+        if noise and fidelity:
+            yield site, (2, 1.5, 0.0), f"{noise} 1.5 outside [0, 1]"
+
+
+@pytest.mark.parametrize(
+    "site, args, message", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _family_parameter_cases()]
+)
+def test_family_parameter_rules_keep_their_messages(site, args, message):
+    with pytest.raises(Exception) as info:
+        FAMILY_PARAMETER_SITES[site][0](*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 class TestPipelineAgainstClosedForms:
     def test_hashing_grid(self):
         probe = max_entangled_probe(2)

@@ -232,6 +232,27 @@ BAD_CONFIGS = {
     "certify-isotropic-d-huge": ("certify", dict(BASE, probe={"type": "isotropic", "d": 1000000, "F": 0.9})),
     "certify-erasure-d-huge": ("certify", dict(BASE, channel={"type": "erasure", "d": 1000000, "p": 0.1})),
     "sweep-steps-huge": ("sweep", dict(SWEEP, sweep=dict(SWEEP["sweep"], steps=1e308))),
+    "certify-kraus-near-max": (
+        "certify",
+        dict(BASE, channel={"type": "kraus", "dim_in": 2, "dim_out": 2, "kraus": [[[1e308, 0], [0, 1e308]]]}),
+    ),
+    "certify-probs-near-max": ("certify", dict(BASE, channel={"type": "pauli", "probs": [[1e308, 1e308]] * 2})),
+    "certify-povm-near-max-diagonal": (
+        "certify",
+        dict(BASE, povm={"type": "custom", "elements": [[[1e308, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}),
+    ),
+    "certify-povm-near-max-off-diagonal": (
+        "certify",
+        dict(BASE, povm={"type": "custom", "elements": [[[1, 1e308, 0, 0], [1e308, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}),
+    ),
+    "certify-povm-near-max-antisymmetric": (
+        "certify",
+        dict(BASE, povm={"type": "custom", "elements": [[[1, 1e308, 0, 0], [-1e308, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}),
+    ),
+    "certify-povm-near-max-complex": (
+        "certify",
+        dict(BASE, povm={"type": "custom", "elements": [[[[1, 1e308], 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}),
+    ),
 }
 
 

@@ -272,6 +272,31 @@ def test_weights_of_another_row_count_are_refused():
 
 
 @pytest.mark.parametrize(
+    "p, t, output_entropy, message",
+    [
+        (np.zeros((0, 2)), [1.0, 1.0], np.ones(0), r"^probabilities of shape \(0, 2\) are not one row"),
+        (0.5, 1.0, 1.0, r"^probabilities of shape \(\) are not one row"),
+        ([0.5, 0.5], 1.0, 1.0, r"^probability and weight vectors differ in length$"),
+        ([0.5, 0.5], [1.0, 1.0], [1.0, 2.0], r"^output entropies of shape \(2,\) for probabilities of shape \(2,\)$"),
+        (np.full((2, 2), 0.5), [1.0, 1.0], np.ones((2, 1)), r"^output entropies of shape \(2, 1\) for probabilities"),
+    ],
+    ids=["stack_without_rows", "scalar_p", "scalar_t", "two_entropies_for_a_row", "entropy_column"],
+)
+def test_statistics_of_another_shape_are_refused(p, t, output_entropy, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        qdet_from_statistics(p, t, output_entropy)
+
+
+def test_non_finite_output_entropy_is_refused():
+    with pytest.raises(InvalidStateError, match=r"^output entropy nan is not finite$") as raised:
+        qdet_from_statistics([0.5, 0.5], [1.0, 1.0], math.nan)
+    assert raised.value.row == 0
+    with pytest.raises(InvalidStateError, match=r"^output entropy inf is not finite$") as raised:
+        qdet_from_statistics(np.full((3, 2), 0.5), [1.0, 1.0], [1.0, 1.0, math.inf])
+    assert raised.value.row == 2
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: qdet_from_statistics([], [], 1.0),

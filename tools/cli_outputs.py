@@ -2,8 +2,9 @@
 
 Usage: python tools/cli_outputs.py SRC OUT
 
-Runs ``python -m qcapdet.cli`` with ``PYTHONPATH=SRC`` from the repository
-root over:
+Runs ``python -W error -m qcapdet.cli`` with ``PYTHONPATH=SRC`` from the
+repository root, so that a warning, numpy's included, ends its run with a
+traceback and exit code 1, over:
 
 - every config in ``configs/`` without a ``sweep`` section, under
   ``certify`` (with and without ``--shots 20000``) and ``sample --shots 20000``;
@@ -67,7 +68,8 @@ def main(argv: list[str]) -> int:
     env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
     bad, todo = [], runs()
     for name, args in todo:
-        done = subprocess.run([sys.executable, "-m", "qcapdet.cli", *args], cwd=ROOT, env=env, capture_output=True)
+        argv = [sys.executable, "-W", "error", "-m", "qcapdet.cli", *args]
+        done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
         (out / f"{name}.code").write_text(f"{done.returncode}\n", encoding="utf-8")
         (out / f"{name}.out").write_bytes(done.stdout)
         (out / f"{name}.err").write_bytes(done.stderr)
