@@ -35,6 +35,7 @@ from .linalg import (
     RECON_TOL,
     binary_entropy,
     check_dimension,
+    check_rows,
     check_within,
     density_spectra,
     double_ket,
@@ -139,10 +140,7 @@ def _statistics(p, t, output_entropy) -> tuple[np.ndarray, np.ndarray, np.ndarra
     p, t, entropy = p.reshape(-1, n), t.reshape(-1, n), entropy.reshape(-1)
     if len(t) not in (1, len(p)):
         raise DimensionMismatchError(f"{len(t)} weight rows for {len(p)} probability rows")
-    if not (finite := np.isfinite(entropy)).all():
-        error = InvalidStateError(f"output entropy {entropy[~finite][0]} is not finite")
-        error.row = int(np.argmin(finite))
-        raise error
+    check_rows(InvalidStateError, ~np.isfinite(entropy), (lambda k: f"output entropy {entropy[k]} is not finite",))
     return p, (t if len(t) == len(p) else np.broadcast_to(t, p.shape)), entropy
 
 
@@ -155,10 +153,8 @@ def _log_totals(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     else:
         support = (p != 0.0) | (t != 0.0)
         tp = reduce_rows(dot, p.shape[-1] - np.argmax(support[:, ::-1], axis=-1), t, p)
-    if (degenerate := ~(tp > 0.0)).any():  # a NaN fails too
-        error = DegenerateMeasurementError(f"t . p = {float(tp[degenerate][0])} is not positive")
-        error.row = int(np.argmax(degenerate))
-        raise error
+    message = lambda k: f"t . p = {float(tp[k])} is not positive"
+    check_rows(DegenerateMeasurementError, ~(tp > 0.0), (message,))  # a NaN fails too
     return np.array([math.log2(x) for x in tp.tolist()])  # libm's; numpy's log2 can differ in the last bit
 
 
@@ -274,12 +270,12 @@ class Detector:
     def _check_dims(self, channels: list, names: list[str]) -> None:
         """Each channel's input dim is the probe's, and reference x output the POVM's."""
         d, dim = self.probe.d, self.povm.dim
-        for name, ch in zip(names, channels):
-            if ch.dim_in != d or d * ch.dim_out != dim:
-                raise DimensionMismatchError(
-                    f"{name}: (dim_in, dim_out) = ({ch.dim_in}, {ch.dim_out}) does not fit probe dim {d}"
-                    f" and POVM dim {dim} = reference x output"
-                )
+        message = lambda k: (
+            f"(dim_in, dim_out) = ({channels[k].dim_in}, {channels[k].dim_out}) does not fit probe dim {d}"
+            f" and POVM dim {dim} = reference x output"
+        )
+        faults = [ch.dim_in != d or d * ch.dim_out != dim for ch in channels]
+        check_rows(DimensionMismatchError, faults, (message,), names)
 
     def _halves(self, channels: list, names: list[str], transfers: np.ndarray) -> list[tuple]:
         """Each channel's (channel, S[E(rho)], I_c) at this detector's
@@ -331,9 +327,8 @@ class Detector:
         d = self.probe.d
         sigmas = np.array([probe.sigma for probe in probes])
         gaps = np.abs(np.einsum("kiaib->kab", sigmas.reshape(-1, d, d, d, d)) - self.rho).max(axis=(-2, -1))
-        if gaps.max() > RECON_TOL:
-            k = int(np.argmax(gaps > RECON_TOL))
-            raise InvalidStateError(f"{names[k]}: marginal differs from the shared marginal by {gaps[k]}")
+        message = lambda k: f"marginal differs from the shared marginal by {gaps[k]}"
+        check_rows(InvalidStateError, gaps > RECON_TOL, (message,), names)
         weights = outcome_weights(sigmas, self.povm, self.rho_t_pinv, self.rank, names)
         return weights, transfer_input(sigmas, d, d)
 
@@ -387,11 +382,8 @@ class Detector:
 
 def _check_chain(names: list[str], qdet: np.ndarray, oracle: np.ndarray) -> None:
     """qdet <= I_c + CHAIN_TOL at every point, else an error naming the first that fails."""
-    if (over := qdet > oracle + CHAIN_TOL).any():
-        k = int(np.argmax(over))
-        raise InternalConsistencyError(
-            f"{names[k]}: detected bound {qdet[k].tolist()} exceeds the coherent information {oracle[k].tolist()}"
-        )
+    message = lambda k: f"detected bound {qdet[k].tolist()} exceeds the coherent information {oracle[k].tolist()}"
+    check_rows(InternalConsistencyError, qdet > oracle + CHAIN_TOL, (message,), names)
 
 
 def _named(name: str, fn, *args):

@@ -37,13 +37,12 @@ class QuantumChannel:
             raise DimensionMismatchError(f"Kraus operators do not stack: {exc}") from exc
         if stack.ndim != 3 or stack.shape[1:] != (self.dim_out, self.dim_in):
             raise DimensionMismatchError(f"Kraus operator shape {stack.shape[1:]} != ({self.dim_out}, {self.dim_in})")
-        if not np.isfinite(stack).all():
+        if not np.isfinite(largest := np.abs(stack).max()):
             raise InvalidStateError("Kraus operators contain non-finite entries")
         object.__setattr__(self, "kraus", tuple(stack))
         flat = stack.reshape(-1, self.dim_in)  # sum_k K^dagger K is one product
-        with np.errstate(over="ignore", invalid="ignore"):  # near-max entries overflow it to inf, which fails below
-            residual = np.max(np.abs(flat.conj().T @ flat - np.eye(self.dim_in)))
-        if residual > TP_TOL:
+        # Trace preservation bounds every |K_ij| by 1, so an entry above 2 fails before the product could overflow.
+        if largest > 2 or np.max(np.abs(flat.conj().T @ flat - np.eye(self.dim_in))) > TP_TOL:
             raise InvalidStateError("Kraus operators are not trace preserving")
 
     @cached_property

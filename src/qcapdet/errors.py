@@ -5,7 +5,8 @@ from __future__ import annotations
 
 class CertificationError(Exception):
     """Base class for numeric failures: an invariant violated at runtime.
-    ``row`` is the index of the failing row when a check ran on a stack."""
+    A check that runs on a stack raises for its first failing row, at that
+    row's first failing check, and sets ``row`` to the row's index."""
 
     row: int | None = None
 

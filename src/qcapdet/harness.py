@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -203,6 +204,8 @@ class SweepSpec:
             raise ConfigError(f"sweep needs 2 to {MAX_STEPS} steps, got {self.steps}")
         if not self.start < self.stop:
             raise ConfigError(f"sweep start {self.start} must be below stop {self.stop}")
+        if not math.isfinite(self.stop - self.start):  # the grid's step would overflow
+            raise ConfigError(f"sweep range from {self.start} to {self.stop} is wider than a float holds")
         if not 0 <= self.shots * self.steps <= MAX_SHOTS:
             raise ConfigError(f"sweep needs 0 to {MAX_SHOTS} draws (steps x shots), got {self.steps} x {self.shots}")
 
@@ -222,8 +225,6 @@ def estimate_qdet(record: ShotRecord, t, output_entropy: float, grouping=None) -
     estimate is biased upward at finite shots; report it together with the
     shot count.
     """
-    if record.shots < 1:
-        raise ValueError("shot record is empty")
     p, t = record.frequencies(), np.asarray(t, dtype=float).reshape(-1)
     grouping = tuple((i,) for i in range(p.size)) if grouping is None else grouping
     coarse_grain(p, t, grouping)  # raises unless grouping partitions the outcomes and t is as long as p
@@ -321,6 +322,8 @@ def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
     the family's POVM; its exact capacity too, where known."""
     if which not in FIGURES:
         raise ConfigError(f"unknown figure {which}; pick 1 or 2")
+    if steps < 1:
+        raise ConfigError(f"figure needs at least 1 step, got {steps}")
     family, stop = FIGURES[which]
     povm_type, _, capacity, _ = FAMILIES[family]
     grid = [float(p) for p in np.linspace(0.0, stop, steps)]

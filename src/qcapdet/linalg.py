@@ -27,15 +27,32 @@ PINV_CUTOFF = 1e-12  # relative to the largest eigenvalue
 
 
 def check_dimension(d) -> None:
-    """Refuse a subsystem dimension below 2."""
-    if d < 2:
+    """Refuse a subsystem dimension below 2, NaN included, or not an
+    integer; an integral float such as 2.0 passes."""
+    if not d >= 2:
         raise ValueError(f"dimension {d} must be at least 2")
+    if not (isinstance(d, int) or float(d).is_integer()):  # an int of any size, without converting it
+        raise ValueError(f"dimension {d} must be an integer")
 
 
 def check_within(what: str, x, low, high) -> None:
     """Refuse a value outside [low, high]; NaN fails too."""
     if not low <= x <= high:
         raise ValueError(f"{what} {x} outside [{low}, {high}]")
+
+
+def check_rows(error: type, faults, messages: Sequence, names: Sequence[str] = ()) -> None:
+    """Raise ``error`` for the first failing row of a stack, at its first
+    failing check: ``faults`` holds a boolean per row, or per (check, row),
+    and ``messages`` one function of the row's index per check.  The text is
+    prefixed by the row's name when ``names`` are given; ``row`` is its index."""
+    faults = np.asarray(faults)
+    if faults.any():
+        faults = faults.reshape(len(messages), -1)  # (check, row)
+        k = int(np.argmax(faults.any(axis=0)))
+        exc = error((f"{names[k]}: " if names else "") + messages[int(np.argmax(faults[:, k]))](k))
+        exc.row = k
+        raise exc
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -57,8 +74,9 @@ def density_spectra(stack: np.ndarray, names: Sequence[str] = (), vectors: bool 
     """Eigenvalues of each matrix of a complex stack (..., n, n), one eigvalsh
     for the whole stack, after checking that each is a density matrix:
     square, Hermitian, of unit trace and positive semidefinite.  An error
-    names the first failing matrix of a stack by ``names``.  With ``vectors``
-    (one matrix), the check's one decomposition, as hermitian_eigen gives it."""
+    names the first failing matrix of a stack by ``names`` and gives its
+    index as ``row``.  With ``vectors`` (one matrix), the check's one
+    decomposition, as hermitian_eigen gives it."""
     n = stack.shape[-1]
     if stack.shape[-2] != n:
         raise DimensionMismatchError(f"density matrix must be square, got {stack.shape}")
@@ -68,17 +86,13 @@ def density_spectra(stack: np.ndarray, names: Sequence[str] = (), vectors: bool 
     trace = stack.trace(axis1=-2, axis2=-1)
     asymmetry = np.abs(stack - adjoint)
     if asymmetry.max() > HERMITIAN_TOL or abs(trace - 1.0).max() > TRACE_TOL or evals.min() < -PSD_TOL:
-        faults = np.reshape(  # (check, matrix)
-            (asymmetry.max(axis=(-2, -1)) > HERMITIAN_TOL, abs(trace - 1.0) > TRACE_TOL, evals.min(axis=-1) < -PSD_TOL),
-            (3, -1),
-        )
-        k = int(np.argmax(faults.any(axis=0)))  # the first failing matrix, at its first failing check
         messages = (
-            "density matrix is not Hermitian within tolerance",
-            f"density matrix trace {trace.reshape(-1)[k]} differs from 1",
-            f"density matrix has negative eigenvalue {evals.reshape(-1, n)[k].min()}",
+            lambda k: "density matrix is not Hermitian within tolerance",
+            lambda k: f"density matrix trace {trace.reshape(-1)[k]} differs from 1",
+            lambda k: f"density matrix has negative eigenvalue {evals.reshape(-1, n)[k].min()}",
         )
-        raise InvalidStateError((f"{names[k]}: " if names else "") + messages[int(np.argmax(faults[:, k]))])
+        faults = asymmetry.max(axis=(-2, -1)) > HERMITIAN_TOL, abs(trace - 1.0) > TRACE_TOL, evals.min(-1) < -PSD_TOL
+        check_rows(InvalidStateError, faults, messages, names)
     return spectrum if vectors else evals
 
 
@@ -99,19 +113,13 @@ def probability_vectors(p: np.ndarray, names: Sequence[str] = ()) -> np.ndarray:
     if p.shape[-1] == 0:
         raise InvalidStateError("probability vector has no entries")
     if not (p.min() >= -PROB_TOL and p.max() <= 1.0 + PROB_TOL and np.abs(p.sum(axis=-1) - 1.0).max() <= PROB_TOL):
-        low, high, total = p.min(axis=-1), p.max(axis=-1), p.sum(axis=-1)
-        inside = (low >= -PROB_TOL) & (high <= 1.0 + PROB_TOL)
-        faults = np.reshape((~inside, ~(abs(total - 1.0) <= PROB_TOL)), (2, -1))
-        k = int(np.argmax(faults.any(axis=0)))  # the first failing row
-        low, high, total = (np.reshape(x, -1)[k] for x in (low, high, total))
-        message = (
-            f"probability entries outside [0,1]: min={low}, max={high}"
-            if faults[0, k]
-            else f"probabilities sum to {total}, not 1"
+        low, high, total = (np.reshape(x, -1) for x in (p.min(axis=-1), p.max(axis=-1), p.sum(axis=-1)))
+        messages = (
+            lambda k: f"probability entries outside [0,1]: min={low[k]}, max={high[k]}",
+            lambda k: f"probabilities sum to {total[k]}, not 1",
         )
-        error = InvalidStateError((f"{names[k]}: " if names else "") + message)
-        error.row = k
-        raise error
+        faults = ~((low >= -PROB_TOL) & (high <= 1.0 + PROB_TOL)), ~(abs(total - 1.0) <= PROB_TOL)
+        check_rows(InvalidStateError, faults, messages, names)
     return p.clip(0.0, 1.0)
 
 

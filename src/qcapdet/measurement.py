@@ -28,6 +28,7 @@ from .linalg import (
     TP_TOL,
     as_complex_matrix,
     check_dimension,
+    check_rows,
     probability_vector,
     probability_vectors,
 )
@@ -185,7 +186,7 @@ def outcome_weights(sigma: np.ndarray, povm: Povm, rho_t_pinv, rank: int, names:
     decomposition made it.  The identity factor on the channel output covers
     dimension-changing channels.  Each row is checked against the sum rule
     sum_i t_i = dim_out * rank; an error names the first failing row by
-    ``names``.
+    ``names`` and gives its index as ``row``.
     """
     d = math.isqrt(sigma.shape[-1])
     if povm.dim % d != 0:
@@ -196,11 +197,8 @@ def outcome_weights(sigma: np.ndarray, povm: Povm, rho_t_pinv, rank: int, names:
     t = np.where((t < 0.0) & (t > -PSD_TOL), 0.0, t)
     expected = dim_out * rank
     sums = t.sum(axis=-1).reshape(-1)
-    failing = np.abs(sums - expected) > SUM_RULE_TOL
-    if failing.any():
-        k = int(np.argmax(failing))  # the first failing row
-        prefix = f"{names[k]}: " if names else ""
-        raise InternalConsistencyError(f"{prefix}t-vector sum {sums[k]} violates the sum rule (expected {expected})")
+    message = lambda k: f"t-vector sum {sums[k]} violates the sum rule (expected {expected})"
+    check_rows(InternalConsistencyError, np.abs(sums - expected) > SUM_RULE_TOL, (message,), names)
     return t
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidStateError
 from .linalg import probability_vector
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -71,13 +71,17 @@ def derive_subseed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Outcome counts of a finite measurement run."""
+    """Outcome counts of a finite measurement run, checked when built."""
 
     counts: tuple[int, ...]
     shots: int
     seed: int
 
     def __post_init__(self):
+        if self.shots < 1:
+            raise ValueError(f"shot count {self.shots} must be at least 1")
+        if min(self.counts, default=0) < 0:
+            raise InvalidStateError(f"negative outcome count {min(self.counts)}")
         if sum(self.counts) != self.shots:
             raise DimensionMismatchError("counts do not sum to the shot total")
 

@@ -243,6 +243,9 @@ def _family_parameter_cases():
     for site, (_, dimension, noise, fidelity) in FAMILY_PARAMETER_SITES.items():
         if dimension:
             yield site, (1, 0.1, 1.0), "dimension 1 must be at least 2"
+            yield site, (math.nan, 0.1, 1.0), "dimension nan must be at least 2"
+            yield site, (2.5, 0.1, 1.0), "dimension 2.5 must be an integer"
+            yield site, (math.inf, 0.1, 1.0), "dimension inf must be an integer"
         if noise:
             yield site, (2, 1.5, 1.0), f"{noise} 1.5 outside [0, 1]"
             yield site, (2, math.nan, 1.0), f"{noise} nan outside [0, 1]"

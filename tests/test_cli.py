@@ -253,6 +253,24 @@ BAD_CONFIGS = {
         "certify",
         dict(BASE, povm={"type": "custom", "elements": [[[[1, 1e308], 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}),
     ),
+    "sweep-F-range-overflows": (
+        "sweep",
+        dict(
+            SWEEP,
+            channel={"type": "depolarizing", "d": 2, "p": 0.1},
+            probe={"type": "isotropic", "d": 2},
+            sweep={"variable": "F", "start": -1e308, "stop": 1e308, "steps": 3},
+        ),
+    ),
+    "sweep-p-range-overflows": (
+        "sweep",
+        dict(
+            SWEEP,
+            channel={"type": "depolarizing", "d": 2},
+            probe={"type": "isotropic", "d": 2, "F": 0.9},
+            sweep={"variable": "p", "start": -1.7e308, "stop": 1.7e308, "steps": 3},
+        ),
+    ),
 }
 
 

@@ -6,6 +6,7 @@ config is written for on the result, in-process.  An exception escaping
 ``main`` is what a user would see as a traceback with exit code 1.
 """
 
+import atexit
 import contextlib
 import copy
 import io
@@ -23,6 +24,7 @@ from qcapdet.cli import main
 # source files in its home directory once a test using it is collected; keep
 # that cache in a temporary directory, removed when the interpreter exits.
 _HOME = tempfile.TemporaryDirectory()
+atexit.register(_HOME.cleanup)
 set_hypothesis_home_dir(_HOME.name)
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -393,6 +393,12 @@ class TestFigures:
         with pytest.raises(ConfigError):
             figure_rows(3)
 
+    def test_figure_needs_a_step(self):
+        with pytest.raises(ConfigError, match=r"^figure needs at least 1 step, got 0$"):
+            figure_rows(1, steps=0)
+        columns, rows = figure_rows(1, steps=1)
+        assert [row["p"] for row in rows] == [0.0] and columns[0] == "p"
+
 
 class TestCsv:
     def test_format(self):

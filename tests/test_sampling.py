@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcapdet import sampling
+from qcapdet.errors import InvalidStateError
 from qcapdet.sampling import (
     SAMPLE_CHUNK,
     ShotRecord,
@@ -97,6 +98,16 @@ class TestSampleOutcomes:
     def test_record_invariant(self):
         with pytest.raises(Exception):
             ShotRecord((3, 4), 8, 0)
+
+    def test_record_needs_a_shot(self):
+        # (0, 0) of 0 shots would reach frequencies() and divide 0 by 0
+        with pytest.raises(ValueError, match=r"^shot count 0 must be at least 1$"):
+            ShotRecord((0, 0), 0, 0)
+
+    def test_record_refuses_a_negative_count(self):
+        # the counts sum to the shots, so only the count check catches it
+        with pytest.raises(InvalidStateError, match=r"^negative outcome count -1$"):
+            ShotRecord((5, -1), 4, 0)
 
 
 def random_distribution(rng, n, zeros=0):
