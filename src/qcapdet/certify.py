@@ -281,7 +281,7 @@ class Detector:
         """Each channel's (channel, S[E(rho)], I_c) at this detector's
         marginal: E(rho) through apply_channel with its check, then S[E(rho)]
         and the purified outputs, each stack checked as one, giving S_e."""
-        outputs = [_named(name, apply_channel, ch, self.rho) for name, ch in zip(names, channels)]
+        outputs = [_named(names, k, apply_channel, ch, self.rho) for k, ch in enumerate(channels)]
         output_entropies = spectral_entropies(density_spectra(np.array(outputs), names))
         purified = apply_transfers(transfers, self.purification_pairs, self.probe.d)
         exchange_entropies = spectral_entropies(density_spectra(purified, names))
@@ -357,7 +357,7 @@ class Detector:
             if k := exc.row:  # a chain failure at an earlier point is reported first, as point by point
                 bounds = grouped_bound(probabilities[:k], weights[:k], output_entropy[:k], groupings[:k])
                 _check_chain(names, bounds[0], oracle[:k])
-            raise type(exc)(f"{names[k]}: {exc}") from exc
+            raise _renamed(exc, names, k) from exc
         _check_chain(names, qdet, oracle)
         rows = zip(points, qdet.tolist(), prob_entropy.tolist(), log_tp.tolist(), groupings, probabilities)
         return [
@@ -386,12 +386,21 @@ def _check_chain(names: list[str], qdet: np.ndarray, oracle: np.ndarray) -> None
     check_rows(InternalConsistencyError, qdet > oracle + CHAIN_TOL, (message,), names)
 
 
-def _named(name: str, fn, *args):
-    """fn(*args), a CertificationError it raises prefixed by the failing channel's or probe's name, keeping its type."""
+def _renamed(exc: CertificationError, names: list[str], k: int) -> CertificationError:
+    """``exc`` as row k of a stack fails it: its type, its text prefixed by
+    row k's name, and ``row`` = k."""
+    renamed = type(exc)(f"{names[k]}: {exc}")
+    renamed.row = k
+    return renamed
+
+
+def _named(names: list[str], k: int, fn, *args):
+    """fn(*args) for row k of a stack, a CertificationError it raises
+    renamed by _renamed."""
     try:
         return fn(*args)
     except CertificationError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+        raise _renamed(exc, names, k) from exc
 
 
 def certify(

@@ -40,7 +40,7 @@ from .sampling import ShotRecord, derive_subseed, sample_outcomes
 
 MAX_DIM = 16  # largest `d` a config may ask for; linalg's tolerances hold below ~16
 MAX_STEPS = 10**6  # largest sweep grid
-MAX_SHOTS = 10**9  # most draws one command may ask for; 7-15 s of sampling
+MAX_SHOTS = 10**9  # most draws one command may ask for; 2.3-5.6 s of sampling at 4-272 outcomes
 
 
 def _reader(accepts, expected: str, convert=lambda value: value):

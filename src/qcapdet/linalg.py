@@ -8,6 +8,7 @@ in bits (base-2 logarithms), with the convention 0*log2(0) = 0.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,15 +25,21 @@ RECON_TOL = 1e-9
 TP_TOL = 1e-9
 SUM_RULE_TOL = 1e-8  # outcome weights: sum_i t_i = dim_out * rank
 PINV_CUTOFF = 1e-12  # relative to the largest eigenvalue
+# The largest dimension whose square does not exceed the largest float, so
+# that 1/d^2 and d^2 - 1 stay finite floats.
+MAX_FLOAT_DIMENSION = math.isqrt(int(np.finfo(np.float64).max))
 
 
 def check_dimension(d) -> None:
-    """Refuse a subsystem dimension below 2, NaN included, or not an
-    integer; an integral float such as 2.0 passes."""
+    """Refuse a subsystem dimension below 2, NaN included, not an integer,
+    or whose square exceeds the largest float; an integral float such as
+    2.0 passes."""
     if not d >= 2:
         raise ValueError(f"dimension {d} must be at least 2")
     if not (isinstance(d, int) or float(d).is_integer()):  # an int of any size, without converting it
         raise ValueError(f"dimension {d} must be an integer")
+    if d > MAX_FLOAT_DIMENSION:  # compared exactly, an int without converting it
+        raise ValueError(f"dimension {d} too large: its square exceeds the largest float")
 
 
 def check_within(what: str, x, low, high) -> None:

@@ -30,7 +30,15 @@ from qcapdet import (
     threshold_fidelity,
 )
 from qcapdet.errors import DegenerateMeasurementError
-from qcapdet.linalg import PINV_CUTOFF, binary_entropy, double_ket, hermitian_eigen, matrix_sqrt, pseudo_inverse
+from qcapdet.linalg import (
+    MAX_FLOAT_DIMENSION,
+    PINV_CUTOFF,
+    binary_entropy,
+    double_ket,
+    hermitian_eigen,
+    matrix_sqrt,
+    pseudo_inverse,
+)
 from randinst import (
     decompositions,
     random_channel,
@@ -265,6 +273,30 @@ def test_family_parameter_rules_keep_their_messages(site, args, message):
         FAMILY_PARAMETER_SITES[site][0](*args)
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("site", [site for site, (_, dimension, *_) in FAMILY_PARAMETER_SITES.items() if dimension])
+@pytest.mark.parametrize("d", [10**200, MAX_FLOAT_DIMENSION + 1, 1e200])
+def test_dimension_whose_square_exceeds_the_largest_float(site, d):
+    # refused before d^2 can overflow a float, or any array is sized by d
+    with pytest.raises(Exception) as info:
+        FAMILY_PARAMETER_SITES[site][0](d, 0.1, 0.5)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"dimension {d} too large: its square exceeds the largest float"
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        "depolarizing_isotropic_qdet",
+        "erasure_qdet_closed_form",
+        "hashing_bound",
+        "erasure_exact_capacity",
+        "threshold_fidelity",
+    ],
+)
+def test_largest_float_dimension_gives_a_finite_value(closed_form):
+    assert math.isfinite(FAMILY_PARAMETER_SITES[closed_form][0](MAX_FLOAT_DIMENSION, 0.1, 0.5))
 
 
 class TestPipelineAgainstClosedForms:

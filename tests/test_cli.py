@@ -136,12 +136,12 @@ class TestSampleCommand:
         assert code == 2
 
     def test_applies_the_configs_optimize(self, tmp_path, capsys):
-        # certify reports qdet 0.185953 and estimate 0.187581 for this config;
+        # certify reports qdet 0.185953 and estimate 0.186978 for this config;
         # the ungrouped bound, 0.136040, is what sample reported without optimize
         config = Path(__file__).resolve().parents[1] / "configs" / "optimize_split5.json"
         args = ["--config", str(config), "--shots", "1000000", "--seed", "0", "--out", str(tmp_path / "out.csv")]
         assert main(["sample", *args]) == 0
-        assert "estimate 0.187581 bits (exact 0.185953)" in capsys.readouterr().err
+        assert "estimate 0.186978 bits (exact 0.185953)" in capsys.readouterr().err
 
 
 class TestExitCodes:

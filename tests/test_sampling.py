@@ -21,19 +21,46 @@ def unchunked_counts(p, shots, seed):
     return tuple(int(c) for c in np.bincount(idx, minlength=len(p)))
 
 
+def reference_counts(p, shots, seed):
+    """Counts taken draw by draw in pure Python: each splitmix64 word split
+    into its low and high 32 bits by integer arithmetic, so that the counts
+    cannot depend on byte order, and each draw m given to the first outcome
+    i with m 2^-32 < e_i."""
+    words = [int(w) for w in sampling._stream_words(seed, 0, sampling._steps((shots + 1) // 2))]
+    draws = [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)][:shots]
+    edges = np.cumsum(p).tolist()
+    counts = [0] * len(edges)
+    for m in draws:
+        counts[next((i for i, e in enumerate(edges) if m * 2.0**-32 < e), len(edges) - 1)] += 1
+    return tuple(counts)
+
+
 class TestUniformStream:
     def test_reproduces_reference_outputs(self):
-        # first outputs of the splitmix64 reference sequence for seed 0
-        bits = np.asarray(
-            (uniform_stream(0, 3) * 2.0**53).astype(np.uint64), dtype=np.uint64
-        )
-        expected_words = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-        for got, word in zip(bits, expected_words):
-            assert int(got) == word >> 11
+        # the first outputs of the splitmix64 reference sequence for seed 0,
+        # each giving its low half as one draw and its high half as the next
+        words = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        halves = [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)]
+        assert halves[:2] == [0x7B1DCDAF, 0xE220A839]
+        draws = uniform_stream(0, 6) * 2.0**32
+        assert draws.tolist() == [float(h) for h in halves]
+
+    def test_draws_are_the_words_halves(self):
+        words = sampling._stream_words(77, 0, sampling._steps(500))
+        draws = (uniform_stream(77, 1000) * 2.0**32).astype(np.uint64)
+        assert np.array_equal(draws[0::2], words & np.uint64(0xFFFFFFFF))
+        assert np.array_equal(draws[1::2], words >> np.uint64(32))
 
     def test_offset_continues_stream(self):
         whole = uniform_stream(123, 10)
         assert np.array_equal(whole[4:], uniform_stream(123, 6, offset=4))
+
+    @pytest.mark.parametrize("offset", [1, 4, 7])
+    @pytest.mark.parametrize("count", [1, 2, 5, 6])
+    def test_offset_on_either_half(self, offset, count):
+        # an odd offset starts on a word's high half, an odd end stops on a low half
+        whole = uniform_stream(123, 20)
+        assert np.array_equal(whole[offset : offset + count], uniform_stream(123, count, offset=offset))
 
     def test_range(self):
         u = uniform_stream(99, 10000)
@@ -171,7 +198,7 @@ class TestEquivalenceWithReference:
                 assert counts == unchunked_counts(p, 2000, 5)
                 assert counts[0] == np.count_nonzero(u < edge) and counts[0] == np.count_nonzero(u < u[k]) + first
 
-    # the counter seed + (k+1) GAMMA passes 2^64 at the first draw, at draw 2
+    # the counter seed + (j+1) GAMMA passes 2^64 at the first word, at word 2
     # (it reads 0 there), and for the negative seeds, read modulo 2^64
     @pytest.mark.parametrize("seed", [2**64 - 1, (-3 * 0x9E3779B97F4A7C15) % 2**64, 2**64 + 7, -1, -(2**63)])
     def test_seeds_where_the_counter_wraps(self, seed, monkeypatch):
@@ -195,36 +222,32 @@ ROUTES = {"compare": 10**6, "sort": 1}  # _COMPARE_MAX_OUTCOMES that forces each
 
 
 class TestCountingRoutes:
-    """Each counting route against the float rule u < e_i on uniform_stream,
-    at the edges where the integer forms of the rule could slip: a 32-bit key
-    equal to a threshold's top bits, thresholds at or above 2^53, and the
-    break-even between the routes."""
+    """Each counting route against the float rule u < e_i on uniform_stream
+    and against the draw-by-draw reference, at the edges where the integer
+    form of the rule could slip: a threshold equal to a draw, edges within
+    2^-32 of 1 or above it, an odd shot count's unused last half word, chunk
+    boundaries and the break-even between the routes."""
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("n", [2, 16, 40])
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_edges_on_a_draw(self, n, delta, route, monkeypatch):
-        # K = m + delta for the m = word >> 11 of a real draw: the draw's
-        # top 32 bits equal K << 11's, so on the sort route its chunk takes
-        # the tie fallback
+        # K = m + delta for the 32-bit m of a real draw, on a low half, on a
+        # high half, at chunk boundaries and on the unused half that follows
+        # the last draw of an odd shot count, which no outcome may take
         monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 1 << 10)
         monkeypatch.setattr(sampling, "_COMPARE_MAX_OUTCOMES", ROUTES[route])
-        shots, seed = 5000, 31
-        u = uniform_stream(seed, shots)
-        # draw 748's word has its low 11 bits clear, so at delta = 0 it
-        # equals K << 11 itself and belongs to the outcome after the edge
-        words = sampling._stream_words(seed, 0, sampling._steps(shots))
-        assert words[748] & np.uint64(0x7FF) == 0
-        for k in (0, 17, 748, (1 << 10) - 1, 1 << 10, shots - 1):
-            m = int(u[k] * 2.0**53)
-            edge = (m + delta) * 2.0**-53
-            assert ((m + delta) << 11) >> 32 == m >> 21  # the tie is forced
+        shots, seed = 4999, 31
+        u = uniform_stream(seed, shots + 1)
+        for k in (0, 1, 17, (1 << 10) - 1, 1 << 10, shots - 1, shots):
+            m = int(u[k] * 2.0**32)
+            edge = (m + delta) * 2.0**-32
             zeros = min(2, n - 2)  # leading zero edges, K = 0, sit before it
             p = np.array([0.0] * zeros + [edge] + [(1.0 - edge) / (n - zeros - 1)] * (n - zeros - 1))
             assert np.cumsum(p)[zeros] == edge
             counts = sample_outcomes(p, shots, seed).counts
             assert counts == unchunked_counts(p, shots, seed)
-            assert counts[zeros] == np.count_nonzero(u < edge)
+            assert counts[zeros] == np.count_nonzero(u[:shots] < edge)
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("n", [3, 12, 40])
@@ -232,7 +255,8 @@ class TestCountingRoutes:
     def test_thresholds_at_or_above_two_to_53(self, n, excess, route, monkeypatch):
         # the tail outcomes have zero probability and the head, dyadic so
         # that it sums exactly, to 1 + excess: every edge from the head's
-        # last on has K >= 2^53
+        # last on is at or above 1 (ceil(e 2^53) >= 2^53) and has K = 2^32
+        # or more, above every draw
         monkeypatch.setattr(sampling, "_COMPARE_MAX_OUTCOMES", ROUTES[route])
         tail = n // 3
         head = 2.0 ** -np.arange(1, n - tail + 1)
@@ -242,6 +266,51 @@ class TestCountingRoutes:
         counts = sample_outcomes(p, 40000, n).counts
         assert counts == unchunked_counts(p, 40000, n)
         assert not any(counts[n - tail :])
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("n", [3, 40])
+    @pytest.mark.parametrize("shortfall", [2.0**-53, 1e-12, 2.0**-33, 2.0**-32])
+    def test_edges_just_below_one(self, n, shortfall, route, monkeypatch):
+        # the head sums to 1 - shortfall and the tail has zero probability:
+        # within 2^-32 of 1 the last head edge has K = 2^32 and catches every
+        # draw; at 2^-32 below 1 it has K = 2^32 - 1 and the draws m = 2^32 - 1
+        # pass it, here none of 40000
+        monkeypatch.setattr(sampling, "_COMPARE_MAX_OUTCOMES", ROUTES[route])
+        tail = n // 3
+        head = 2.0 ** -np.arange(1, n - tail + 1)
+        head[-1] = 2.0 * head[-1] - shortfall
+        p = np.append(head, np.zeros(tail))
+        assert np.cumsum(p)[n - tail - 1] == 1.0 - shortfall
+        counts = sample_outcomes(p, 40000, n).counts
+        assert counts == unchunked_counts(p, 40000, n)
+        assert not any(counts[n - tail :])
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_draw_by_draw_reference(self, n, route, monkeypatch):
+        # odd and even shot counts around one and two chunks of 1 << 10
+        monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 1 << 10)
+        monkeypatch.setattr(sampling, "_COMPARE_MAX_OUTCOMES", ROUTES[route])
+        rng = np.random.default_rng(n)
+        for shots in (1, 2, 3, 1023, 1024, 1025, 2047, 2048, 2049):
+            p = random_distribution(rng, n, zeros=n // 5)
+            seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+            assert sample_outcomes(p, shots, seed).counts == reference_counts(p, shots, seed), shots
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_goodness_of_fit_over_seeds(self, route, monkeypatch):
+        # one chi-square statistic per seed, each with n - 1 degrees of
+        # freedom; their sum over S = 200 seeds has mean S (n - 1) and variance
+        # 2 S (n - 1), and lands within 5 standard deviations of the mean
+        monkeypatch.setattr(sampling, "_COMPARE_MAX_OUTCOMES", ROUTES[route])
+        p = np.maximum(random_distribution(np.random.default_rng(2014), 24), 0.01)
+        p /= p.sum()  # every expected count well above 5
+        shots, seeds = 2000, 200
+        expected = shots * p
+        counts = np.array([sample_outcomes(p, shots, seed).counts for seed in range(seeds)])
+        chi2 = (((counts - expected) ** 2) / expected).sum()
+        dof = seeds * (p.size - 1)
+        assert abs(chi2 - dof) < 5.0 * np.sqrt(2.0 * dof)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_break_even_neighbours_on_both_routes(self, offset, monkeypatch):

@@ -53,6 +53,15 @@ def channels_with_an_erasure_last():
     return [depolarizing_channel(2, 0.1), depolarizing_channel(2, 0.2), erasure_channel(2, 0.1)]
 
 
+def channels_with_a_corrupted_last():
+    """Three depolarizing channels, the last with its Kraus operators scaled
+    after construction, so that only its output check, through the
+    per-channel apply_channel, sees it."""
+    channels = [depolarizing_channel(2, p) for p in (0.1, 0.2, 0.3)]
+    object.__setattr__(channels[2], "kraus", tuple(1.1 * k for k in channels[2].kraus))  # bypass construction
+    return channels
+
+
 def totals_with_a_degenerate_last():
     """log2(t . p) of three rows, the last with t . p = 0."""
     p = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
@@ -111,6 +120,11 @@ CASES = {
         InvalidStateError,
         "probe 2 (product): marginal differs from the shared marginal by 0.5",
     ),
+    "halves": (
+        lambda: list(bell_detector().certify_many(channels_with_a_corrupted_last())),
+        InvalidStateError,
+        "channel 2 (depolarizing(d=2, p=0.3)): density matrix trace (1.2100000000000002+0j) differs from 1",
+    ),
     "check_dims": (
         lambda: list(bell_detector().certify_many(channels_with_an_erasure_last())),
         DimensionMismatchError,
@@ -127,4 +141,22 @@ def test_first_failing_row_is_named_with_its_index(case):
         call()
     assert type(raised.value) is error
     assert str(raised.value) == message
+    assert raised.value.row == 2
+
+
+def test_degenerate_row_renamed_by_the_detector_keeps_its_index(monkeypatch):
+    # probe 2's weights are zeroed after their sum rule passed, so only the
+    # stacked t . p > 0 check sees it, and the detector renames its error
+    real = Detector._probe_stack
+
+    def zeroing(self, probes, names):
+        weights, pairs = real(self, probes, names)
+        return np.where([[k == 2] for k in range(len(names))], 0.0, weights), pairs
+
+    monkeypatch.setattr(Detector, "_probe_stack", zeroing)
+    probes = [BipartiteProbeState(BELL, label) for label in NAMES]
+    with pytest.raises(DegenerateMeasurementError) as raised:
+        list(bell_detector().certify_probes(probes, depolarizing_channel(2, 0.1)))
+    assert type(raised.value) is DegenerateMeasurementError
+    assert str(raised.value) == "probe 2 (c): t . p = 0.0 is not positive"
     assert raised.value.row == 2
