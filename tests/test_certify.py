@@ -29,7 +29,8 @@ from qcapdet import (
     t_vector,
     threshold_fidelity,
 )
-from qcapdet.errors import DegenerateMeasurementError
+from qcapdet.certify import FAMILIES
+from qcapdet.errors import DegenerateMeasurementError, DimensionMismatchError, InternalConsistencyError, InvalidStateError
 from qcapdet.linalg import (
     MAX_FLOAT_DIMENSION,
     PINV_CUTOFF,
@@ -111,6 +112,20 @@ class TestEntropyExchange:
         for _ in range(20):
             v = random_unitary(rng, 3)
             assert entropy_exchange(rho, ch, purification=v) == pytest.approx(base, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "rho, purification, error, message",
+        [
+            (np.eye(3) / 3, None, DimensionMismatchError, "state dim 3 != channel input dim 2"),
+            (np.eye(2) / 2, np.eye(3), DimensionMismatchError, "purification unitary shape (3, 3) != (2, 2)"),
+            (np.eye(2) / 2, 2.0 * np.eye(2), InvalidStateError, "purification rotation is not unitary"),
+        ],
+        ids=["state dim", "purification shape", "not unitary"],
+    )
+    def test_rejects_a_mismatched_state_or_purification(self, rho, purification, error, message):
+        with pytest.raises(error) as raised:
+            entropy_exchange(rho, IDENTITY_QUBIT, purification)
+        assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestCoherentInformation:
@@ -439,6 +454,14 @@ class TestThreshold:
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
             threshold_fidelity("amplitude_damping", 2)
+
+    def test_bound_positive_at_minimal_fidelity_is_refused(self, monkeypatch):
+        # no closed form in FAMILIES is positive at F = 1/d^2, so only a
+        # replaced one reaches the guard: such a family has no threshold
+        povm_type, _, capacity, quoted = FAMILIES["erasure"]
+        monkeypatch.setitem(FAMILIES, "erasure", (povm_type, lambda d, p, fidelity: 1.0, capacity, quoted))
+        with pytest.raises(InternalConsistencyError, match="^detected bound positive even at minimal fidelity$"):
+            threshold_fidelity("erasure", 2)
 
     # Roots written from the grid plus golden-section search over p that the
     # threshold used before it took the endpoint maximum; never regenerated.

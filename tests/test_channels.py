@@ -108,6 +108,10 @@ class TestPauliChannel:
         with pytest.raises(InvalidStateError):
             pauli_channel(np.array([[1.5, -0.5], [0.0, 0.0]]))
 
+    def test_non_square_grid(self):
+        with pytest.raises(InvalidStateError, match=r"^probability grid must be square, got shape \(1, 2\)$"):
+            pauli_channel([[0.5, 0.5]])
+
 
 class TestDepolarizing:
     def test_p_zero_identity(self):

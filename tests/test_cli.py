@@ -163,6 +163,12 @@ class TestExitCodes:
         doc["channel"] = {"type": "erasure", "d": 2, "p": 0.1}  # bell POVM will not fit
         assert main(["certify", "--config", write_config(tmp_path, doc)]) == 3
 
+    def test_povm_dim_not_divisible_by_probe_dim_is_numerical_failure(self, tmp_path, capsys):
+        # a valid 3 x 3 POVM: only the detector, at run time, checks it against the d = 2 probe
+        doc = dict(BASE, povm={"type": "custom", "elements": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]})
+        assert main(["certify", "--config", write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err == "numerical failure: POVM dim 3 not divisible by probe dim 2\n"
+
     def test_bad_arguments(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--which", "7"])
@@ -202,6 +208,12 @@ BAD_CONFIGS = {
     "certify-optimize-text": ("certify", dict(BASE, optimize="false")),
     "sweep-optimize-text": ("sweep", dict(SWEEP, optimize="false")),
     "certify-probs-text": ("certify", dict(BASE, channel={"type": "pauli", "probs": [["0.9", "0.05"], ["0.03", "0.02"]]})),
+    "certify-probs-not-square": ("certify", dict(BASE, channel={"type": "pauli", "probs": [[0.5, 0.5]]})),
+    "certify-q-not-square": ("certify", dict(BASE, probe={"type": "bell_diagonal", "q": [[1, 0, 0]]})),
+    "certify-povm-element-shapes-differ": (
+        "certify",
+        dict(BASE, povm={"type": "custom", "elements": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[1, 0], [0, 1]]]}),
+    ),
     "certify-probs-bool": ("certify", dict(BASE, channel={"type": "pauli", "probs": [[True, 0], [0, 0]]})),
     "certify-q-text": ("certify", dict(BASE, probe={"type": "bell_diagonal", "q": [["0.7", 0.1], [0.1, 0.1]]})),
     "certify-q-bool": ("certify", dict(BASE, probe={"type": "bell_diagonal", "q": [[True, 0], [0, 0]]})),

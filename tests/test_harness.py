@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -288,6 +289,52 @@ class TestFamilyTable:
             assert ("q_exact" in row) == (capacity is not None)
             if capacity is not None:
                 assert row["q_exact"] == capacity(d, row.get("p", 0.1))
+
+
+class TestSweepErrorOrder:
+    """Of two bad sections, a sweep reports the first it meets: reading goes
+    channel, probe, POVM, then the swept field; building goes channel,
+    probe, POVM.  ``swept`` and ``fixed`` name the variable's own section
+    and the other one; a None field is removed."""
+
+    SECTIONS = {"p": ("channel", "probe"), "F": ("probe", "channel")}  # (swept, fixed)
+    BASE = {
+        "p": {"channel": {"type": "depolarizing", "d": 2}, "probe": {"type": "isotropic", "d": 2, "F": 0.95}},
+        "F": {"channel": {"type": "depolarizing", "d": 2, "p": 0.1}, "probe": {"type": "isotropic", "d": 2}},
+    }
+    GRID = {"p": (0.0, 0.2), "F": (0.9, 1.0)}
+    NO_FIELD = {"p": {"type": "pauli", "probs": [[1.0, 0.0], [0.0, 0.0]]}, "F": {"type": "max_entangled"}}  # no p / F field
+
+    @pytest.mark.parametrize("variable", ["p", "F"])
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"channel": {"type": None}, "probe": {"type": None}}, "channel.type is missing"),
+            ({"probe": {"type": None}, "povm": {"type": None}}, "probe.type is missing"),
+            ({"channel": {"d": 1}, "probe": {"type": None}}, "probe.type is missing"),
+            ({"povm": {"type": "nope"}, "swept": "no field"}, "unknown povm type 'nope'; pick one of bell, erasure_adapted, custom"),
+            ({"fixed": {"type": None}, "swept": "no field"}, "{fixed}.type is missing"),
+            ({"fixed": {"d": 1}, "swept": "no field"}, "sweeping '{variable}' needs a {swept} type with a '{variable}' field"),
+            ({"channel": {"d": 1}, "probe": {"d": 1}}, "invalid channel spec: dimension 1 must be at least 2"),
+            (
+                {"probe": {"d": 1}, "povm": {"type": "custom", "elements": [[[1, 0], [0, 0]]]}},
+                "invalid probe spec: dimension 1 must be at least 2",
+            ),
+        ],
+    )
+    def test_first_bad_section_is_reported(self, variable, changes, message):
+        swept, fixed = self.SECTIONS[variable]
+        doc = {**self.BASE[variable], "povm": {"type": "bell"}}
+        for section, change in changes.items():
+            section = {"swept": swept, "fixed": fixed}.get(section, section)
+            change = self.NO_FIELD[variable] if change == "no field" else change
+            merged = {**doc[section], **change}
+            doc[section] = {key: value for key, value in merged.items() if value is not None}
+        start, stop = self.GRID[variable]
+        spec = SweepSpec(doc["channel"], doc["probe"], doc["povm"], variable, start, stop, 3)
+        expected = message.format(variable=variable, swept=swept, fixed=fixed)
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            run_sweep(spec)
 
 
 def per_point_rows(doc):

@@ -6,6 +6,7 @@ from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import (
     as_complex_matrix,
     binary_entropy,
+    density_spectra,
     double_ket,
     hermitian_eigen,
     matrix_sqrt,
@@ -283,3 +284,23 @@ def test_density_validation_accepts_valid():
     rng = np.random.default_rng(22)
     for _ in range(10):
         validate_density_matrix(random_density(rng, int(rng.integers(2, 6))))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: as_complex_matrix(np.zeros(3)), DimensionMismatchError, "expected a matrix, got ndim=1"),
+        (
+            lambda: density_spectra(np.zeros((2, 3), dtype=complex)),
+            DimensionMismatchError,
+            "density matrix must be square, got (2, 3)",
+        ),
+        (lambda: partial_trace_system(np.eye(5), 2, 2), DimensionMismatchError, "matrix shape (5, 5) does not factor as 2x2"),
+        (lambda: pseudo_inverse(np.diag([1.0, -1e-6])), InvalidStateError, "pseudo_inverse: negative eigenvalue -1e-06"),
+    ],
+    ids=["as_complex_matrix ndim", "density_spectra not square", "partial_trace_system shape", "pseudo_inverse negative"],
+)
+def test_shape_and_sign_checks_keep_their_messages(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -22,7 +22,7 @@ from qcapdet import (
 )
 from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import double_ket, partial_trace_system, psd_rank
-from qcapdet.measurement import iter_partitions
+from qcapdet.measurement import iter_partitions, outcome_weights
 from randinst import random_channel, random_povm, random_probe, random_unitary
 
 
@@ -332,3 +332,32 @@ def test_partition_enumeration_counts():
         assert len(parts) == count
         seen = {tuple(sorted(tuple(sorted(g)) for g in p)) for p in parts}
         assert len(seen) == count
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Povm(2, ()), InvalidStateError, "POVM needs at least one element"),
+        (lambda: Povm(2, (np.eye(3),)), DimensionMismatchError, "POVM element shape (3, 3) != (2, 2)"),
+        (
+            lambda: outcome_probabilities(max_entangled_probe(3), depolarizing_channel(2, 0.1), bell_povm(2)),
+            DimensionMismatchError,
+            "channel input dim 2 != probe dim 3",
+        ),
+        (
+            lambda: pauli_bell_convolution(np.full((2, 2), 0.25), np.full((3, 3), 1.0 / 9.0)),
+            DimensionMismatchError,
+            "incompatible grids (2, 2) and (3, 3)",
+        ),
+        (
+            lambda: outcome_weights(max_entangled_probe(2).sigma, Povm(3, (np.eye(3),)), np.eye(2), 2),
+            DimensionMismatchError,
+            "POVM dim 3 not divisible by probe dim 2",
+        ),
+    ],
+    ids=["no elements", "element shape", "channel input dim", "convolution grids", "POVM dim not divisible"],
+)
+def test_shape_checks_keep_their_messages(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

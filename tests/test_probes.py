@@ -155,6 +155,10 @@ class TestBellDiagonal:
         with pytest.raises(InvalidStateError):
             bell_diagonal_probe(np.array([[1.2, -0.2], [0.0, 0.0]]))
 
+    def test_rejects_non_square_grid(self):
+        with pytest.raises(InvalidStateError, match=r"^Bell weight grid must be square, got \(1, 3\)$"):
+            bell_diagonal_probe([[1.0, 0.0, 0.0]])
+
 
 class TestIsotropic:
     def test_perfect_fidelity(self):
