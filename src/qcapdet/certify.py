@@ -267,8 +267,13 @@ class Detector:
             yield chunk, [f"{kind} {start + i} ({item.label})" for i, item in enumerate(chunk)]
             start += len(chunk)
 
-    def _check_dims(self, channels: list, names: list[str]) -> None:
-        """Each channel's input dim is the probe's, and reference x output the POVM's."""
+    def _halves(self, channels: list, names: list[str]) -> tuple[np.ndarray, list[tuple]]:
+        """The channel half of the bound, formed only here: checks each
+        channel's input dim against the probe's and reference x output against
+        the POVM's, stacks their transfer matrices, and returns the stack with
+        each channel's (channel, S[E(rho)], I_c) at this detector's marginal:
+        E(rho) through apply_channel with its check, then S[E(rho)] and the
+        purified outputs, each stack checked as one, giving S_e."""
         d, dim = self.probe.d, self.povm.dim
         message = lambda k: (
             f"(dim_in, dim_out) = ({channels[k].dim_in}, {channels[k].dim_out}) does not fit probe dim {d}"
@@ -276,25 +281,19 @@ class Detector:
         )
         faults = [ch.dim_in != d or d * ch.dim_out != dim for ch in channels]
         check_rows(DimensionMismatchError, faults, (message,), names)
-
-    def _halves(self, channels: list, names: list[str], transfers: np.ndarray) -> list[tuple]:
-        """Each channel's (channel, S[E(rho)], I_c) at this detector's
-        marginal: E(rho) through apply_channel with its check, then S[E(rho)]
-        and the purified outputs, each stack checked as one, giving S_e."""
+        transfers = np.array([ch.transfer for ch in channels])
         outputs = [_named(names, k, apply_channel, ch, self.rho) for k, ch in enumerate(channels)]
         output_entropies = spectral_entropies(density_spectra(np.array(outputs), names))
-        purified = apply_transfers(transfers, self.purification_pairs, self.probe.d)
+        purified = apply_transfers(transfers, self.purification_pairs, d)
         exchange_entropies = spectral_entropies(density_spectra(purified, names))
-        return [(ch, s, s - s_e) for ch, s, s_e in zip(channels, output_entropies, exchange_entropies)]
+        return transfers, [(ch, s, s - s_e) for ch, s, s_e in zip(channels, output_entropies, exchange_entropies)]
 
     def certify_many(self, channels: Iterable[QuantumChannel], optimize: bool = False) -> Iterator[CertificationResult]:
         """Bound for each channel, in order, every channel's input and output
         dims checked against the probe and POVM.  Each chunk's halves and
         joint outputs are formed and checked as stacks."""
         for chunk, names in self._chunks(channels, "channel"):
-            self._check_dims(chunk, names)
-            transfers = np.array([ch.transfer for ch in chunk])
-            halves = self._halves(chunk, names, transfers)
+            transfers, halves = self._halves(chunk, names)
             points = [(name, self.probe, half, self.t) for name, half in zip(names, halves)]
             yield from self._certify_stack(transfers, self.probe_pairs, points, optimize)
 
@@ -307,9 +306,7 @@ class Detector:
         within RECON_TOL, and their weights t (each with its sum rule), joint
         outputs and outcome distributions are formed and checked as stacks.
         Each result carries its own probe's t."""
-        channel_names = [f"channel 0 ({ch.label})"]
-        self._check_dims([ch], channel_names)
-        (half,) = self._halves([ch], channel_names, ch.transfer[None])
+        _, (half,) = self._halves([ch], [f"channel 0 ({ch.label})"])
         d = self.probe.d
         for chunk, names in self._chunks(probes, "probe"):
             if dims := sorted({probe.d for probe in chunk} - {d}):

@@ -131,6 +131,9 @@ _POVMS = {
 # Run settings of a config document, read the same way by every command.
 _RUN = [("shots", shot_count, 0), ("seed", integer, 0), ("optimize", boolean, False)]
 _SWEEP = [("variable", text), ("start", real), ("stop", real), ("steps", integer)]
+# Each sweep variable: the config section it is a field of, and the value a
+# row reports for it when that section's type has no such field.
+_SWEEP_VARIABLES = {"p": ("channel", 0.0), "F": ("probe", 1.0)}
 
 
 def read(spec: dict, key: str, reader, where: str = "", default=None):
@@ -198,8 +201,8 @@ class SweepSpec:
     optimize: bool = False
 
     def __post_init__(self):
-        if self.variable not in ("p", "F"):
-            raise ConfigError(f"sweep variable must be 'p' or 'F', got {self.variable!r}")
+        if self.variable not in _SWEEP_VARIABLES:
+            raise ConfigError(f"sweep variable must be {' or '.join(map(repr, _SWEEP_VARIABLES))}, got {self.variable!r}")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ConfigError(f"sweep needs 2 to {MAX_STEPS} steps, got {self.steps}")
         if not self.start < self.stop:
@@ -254,61 +257,53 @@ def _estimate(result: CertificationResult, shots: int, seed: int):
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One certification row per grid point, in grid order.  One detector,
-    built on the first point, certifies the grid's points, built lazily,
-    in one call: certify_many of the channels for a 'p' sweep,
-    certify_probes of the probes on the one channel for an 'F' sweep, which
-    checks every probe's marginal against the first's.  Every row's
-    finite-shot estimate uses its own point's t.  The swept field needs no
-    value in the config; it must be a field of the section's type."""
-    grid = np.linspace(spec.start, spec.stop, spec.steps)
-    make_channel, channel_args = read_spec(_CHANNELS, {**spec.channel, spec.variable: spec.start}, "channel")
-    make_probe, probe_args = read_spec(_PROBES, {**spec.probe, spec.variable: spec.start}, "probe")
-    make_povm, povm_args = read_spec(_POVMS, spec.povm, "povm")
-    section, make_swept, swept_args = (
-        ("channel", make_channel, channel_args) if spec.variable == "p" else ("probe", make_probe, probe_args)
-    )
-    if spec.variable not in swept_args:
-        raise ConfigError(f"sweeping {spec.variable!r} needs a {section} type with a {spec.variable!r} field")
+    """One certification row per grid point, in grid order.  Sections are
+    read, then built, in the order channel, probe, POVM; the swept one is
+    read with the variable at the grid's start, so its field needs no value
+    in the config but must be a field of its type, and built at each grid
+    value from its own copy of the read arguments, lazily after the first.
+    One detector on the built probe and POVM certifies every point in one
+    call: certify_many of the channels for a 'p' sweep, certify_probes of
+    the probes on the one channel for an 'F' sweep, which checks every
+    probe's marginal against the first's.  Row i's finite-shot estimate
+    uses its own point's t and draws with derive_subseed(seed, i)."""
+    grid = [float(value) for value in np.linspace(spec.start, spec.stop, spec.steps)]
+    swept = _SWEEP_VARIABLES[spec.variable][0]
+    sections = {"channel": (_CHANNELS, spec.channel), "probe": (_PROBES, spec.probe), "povm": (_POVMS, spec.povm)}
+    read = {
+        where: read_spec(table, {**section, spec.variable: spec.start} if where == swept else section, where)
+        for where, (table, section) in sections.items()
+    }
+    if spec.variable not in read[swept][1]:
+        raise ConfigError(f"sweeping {spec.variable!r} needs a {swept} type with a {spec.variable!r} field")
+    fixed = {variable: read[where][1].get(variable, value) for variable, (where, value) in _SWEEP_VARIABLES.items()}
     povm_type, closed_form, capacity, _ = FAMILIES.get(spec.channel["type"], (None,) * 4)
     if povm_type != spec.povm["type"] or spec.probe["type"] not in ("isotropic", "max_entangled"):
         closed_form = None
-
-    def swept(value: float):
-        """The swept section's channel or probe at one grid value."""
-        swept_args[spec.variable] = value
-        return _make(section, make_swept, swept_args)
-
-    def row(i: int, value: float, result: CertificationResult) -> dict:
-        seed = derive_subseed(spec.seed, i) if spec.shots > 0 else 0  # exact points draw nothing
-        estimate, _ = _estimate(result, spec.shots, seed)
-        out: dict = {spec.variable: value, "qdet": result.qdet}
-        noise = value if spec.variable == "p" else channel_args.get("p", 0.0)
-        fidelity = value if spec.variable == "F" else probe_args.get("F", 1.0)
-        if closed_form is not None:
-            out["qdet_closed"] = closed_form(d, noise, fidelity)
-        if capacity is not None:
-            out["q_exact"] = capacity(d, noise)
-        if spec.shots > 0:
-            out["qdet_estimate"] = estimate
-            out["shots"] = spec.shots
-        return out
-
-    values = [float(value) for value in grid]
-    if spec.variable == "p":  # the first point's channel is checked before the detector is built
-        first = swept(values[0])
-        probe = _make("probe", make_probe, probe_args)
-    else:
-        channel = _make("channel", make_channel, channel_args)
-        first = probe = swept(values[0])
-    d = probe.d
-    detector = Detector(probe, _make("povm", make_povm, povm_args, d))
-    points = chain([first], map(swept, values[1:]))
+    make, args = read[swept]
+    points = (_make(swept, make, {**args, spec.variable: value}) for value in grid)
+    built = {where: next(points) if where == swept else _make(where, *read[where]) for where in ("channel", "probe")}
+    d = built["probe"].d
+    detector = Detector(built["probe"], _make("povm", *read["povm"], d))
+    points = chain([built[swept]], points)
     if spec.variable == "p":
         results = detector.certify_many(points, spec.optimize)
     else:
-        results = detector.certify_probes(points, channel, spec.optimize)
-    return [row(i, v, r) for i, (v, r) in enumerate(zip(values, results))]
+        results = detector.certify_probes(points, built["channel"], spec.optimize)
+    rows = []
+    for i, (value, result) in enumerate(zip(grid, results)):
+        seed = derive_subseed(spec.seed, i) if spec.shots > 0 else 0  # exact points draw nothing
+        estimate, _ = _estimate(result, spec.shots, seed)
+        at = {**fixed, spec.variable: value}  # the row's noise p and fidelity F
+        row = {spec.variable: value, "qdet": result.qdet}
+        if closed_form is not None:
+            row["qdet_closed"] = closed_form(d, at["p"], at["F"])
+        if capacity is not None:
+            row["q_exact"] = capacity(d, at["p"])
+        if spec.shots > 0:
+            row |= {"qdet_estimate": estimate, "shots": spec.shots}
+        rows.append(row)
+    return rows
 
 
 FIGURE_FIDELITIES = (1.0, 0.98, 0.95, 0.90)

@@ -167,9 +167,9 @@ class TestAcrossChunks:
         monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * 16)
         real = Detector._halves
 
-        def lowering(self, channels, names, transfers):
-            halves = real(self, channels, names, transfers)
-            return [(ch, s, i_c - (name.startswith("channel 7 ") and 1.0)) for name, (ch, s, i_c) in zip(names, halves)]
+        def lowering(self, channels, names):
+            transfers, halves = real(self, channels, names)
+            return transfers, [(ch, s, i_c - (name.startswith("channel 7 ") and 1.0)) for name, (ch, s, i_c) in zip(names, halves)]
 
         monkeypatch.setattr(Detector, "_halves", lowering)
         spec = p_sweep({"type": "depolarizing", "d": 2}, {"type": "isotropic", "d": 2, "F": 0.95}, 8)
