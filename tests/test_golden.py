@@ -30,6 +30,7 @@ CASES = {
     "sweep_erasure": ["sweep", "--config", "configs/erasure_sweep.json"],
     "sweep_erasure_shots": ["sweep", "--config", "configs/erasure_sweep.json", "--shots", "2000"],
     "sweep_d8_p_shots": ["sweep", "--config", "configs/sweep_d8_p.json", "--shots", "2000"],
+    "sweep_d16_p": ["sweep", "--config", "configs/sweep_d16_p.json"],
     "sweep_F_erasure_optimize": ["sweep", "--config", "configs/sweep_F_erasure_optimize.json"],
     "sweep_F_amplitude_damping": ["sweep", "--config", "configs/sweep_F_amplitude_damping.json"],
     "sweep_F_d4_chunks": ["sweep", "--config", "configs/sweep_F_d4_chunks.json"],
