@@ -256,12 +256,16 @@ class Detector:
         """Bound for one channel; ``optimize`` searches outcome coarse-grainings."""
         return next(self.certify_many([ch], optimize))
 
+    @property
+    def chunk_size(self) -> int:
+        """Points per stacked pass: as many as keep its joint output,
+        povm.dim x povm.dim per point, near CERTIFY_CHUNK entries; at least one."""
+        return max(1, CERTIFY_CHUNK // self.povm.dim**2)
+
     def _chunks(self, items: Iterable, kind: str):
-        """Consecutive chunks of ``items``, each pulled in full as a list with
-        its items' error names, sized so that its stacked joint output,
-        povm.dim x povm.dim per point, holds about CERTIFY_CHUNK entries; at
-        least one point each."""
-        size = max(1, CERTIFY_CHUNK // self.povm.dim**2)
+        """Consecutive chunks of ``items``, chunk_size points each but the
+        last, each pulled in full as a list with its items' error names."""
+        size = self.chunk_size
         items, start = iter(items), 0
         while chunk := list(islice(items, size)):
             yield chunk, [f"{kind} {start + i} ({item.label})" for i, item in enumerate(chunk)]

@@ -22,6 +22,8 @@ import numpy as np
 from .certify import FAMILIES, CertificationResult, Detector, grouped_bound
 from .channels import (
     QuantumChannel,
+    _depolarizing_channels,
+    _erasure_channels,
     depolarizing_channel,
     erasure_channel,
     pauli_channel,
@@ -114,6 +116,9 @@ _CHANNELS = {
         [("dim_in", integer), ("dim_out", integer), ("kraus", listed(complex_matrix)), ("label", text, "kraus")],
     ),
 }
+# The stacked builder of each channel type with a 'p' field: its channels at a
+# list of p, built and checked as one stack.
+_CHANNEL_STACKS = {"depolarizing": _depolarizing_channels, "erasure": _erasure_channels}
 _PROBES = {
     "max_entangled": (max_entangled_probe, [("d", dimension)]),
     "isotropic": (isotropic_probe, [("d", dimension), ("F", real)]),
@@ -260,13 +265,16 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """One certification row per grid point, in grid order.  Sections are
     read, then built, in the order channel, probe, POVM; the swept one is
     read with the variable at the grid's start, so its field needs no value
-    in the config but must be a field of its type, and built at each grid
-    value from its own copy of the read arguments, lazily after the first.
-    One detector on the built probe and POVM certifies every point in one
-    call: certify_many of the channels for a 'p' sweep, certify_probes of
-    the probes on the one channel for an 'F' sweep, which checks every
-    probe's marginal against the first's.  Row i's finite-shot estimate
-    uses its own point's t and draws with derive_subseed(seed, i)."""
+    in the config but must be a field of its type.  The swept section is
+    built at the grid's first value alone, then in blocks that end where
+    the detector's chunks end, each when its chunk is pulled, so that no
+    more than a chunk's points are built ahead: a 'p' sweep's block as one
+    checked stack by the family's stacked builder, an 'F' sweep's probes
+    one by one.  One detector on the built probe and POVM certifies every
+    point in one call: certify_many of the channels for a 'p' sweep,
+    certify_probes of the probes on the one channel for an 'F' sweep, which
+    checks every probe's marginal against the first's.  Row i's finite-shot
+    estimate uses its own point's t and draws with derive_subseed(seed, i)."""
     grid = [float(value) for value in np.linspace(spec.start, spec.stop, spec.steps)]
     swept = _SWEEP_VARIABLES[spec.variable][0]
     sections = {"channel": (_CHANNELS, spec.channel), "probe": (_PROBES, spec.probe), "povm": (_POVMS, spec.povm)}
@@ -281,11 +289,16 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     if povm_type != spec.povm["type"] or spec.probe["type"] not in ("isotropic", "max_entangled"):
         closed_form = None
     make, args = read[swept]
-    points = (_make(swept, make, {**args, spec.variable: value}) for value in grid)
-    built = {where: next(points) if where == swept else _make(where, *read[where]) for where in ("channel", "probe")}
+    if spec.variable == "p":
+        build = lambda values: _make(swept, _CHANNEL_STACKS[spec.channel["type"]], {**args, "p": values})
+    else:
+        build = lambda values: [_make(swept, make, {**args, "F": value}) for value in values]
+    built = {where: build(grid[:1])[0] if where == swept else _make(where, *read[where]) for where in ("channel", "probe")}
     d = built["probe"].d
     detector = Detector(built["probe"], _make("povm", *read["povm"], d))
-    points = chain([built[swept]], points)
+    size = detector.chunk_size  # the first chunk holds the first point, built above, and the first block
+    blocks = (grid[max(i, 1) : i + size] for i in range(0, len(grid), size))
+    points = chain([built[swept]], chain.from_iterable(build(block) for block in blocks if block))
     if spec.variable == "p":
         results = detector.certify_many(points, spec.optimize)
     else:
@@ -313,8 +326,9 @@ FIGURES = {1: ("depolarizing", 0.25), 2: ("erasure", 0.5)}
 
 def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
     """Grid data behind a reference plot: the family's qubit channels, built
-    once, certified by one certify_many call per fidelity's detector, with
-    the family's POVM; its exact capacity too, where known."""
+    once, as one stack, by the family's stacked builder, certified by one
+    certify_many call per fidelity's detector, with the family's POVM; its
+    exact capacity too, where known."""
     if which not in FIGURES:
         raise ConfigError(f"unknown figure {which}; pick 1 or 2")
     if steps < 1:
@@ -322,7 +336,7 @@ def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
     family, stop = FIGURES[which]
     povm_type, _, capacity, _ = FAMILIES[family]
     grid = [float(p) for p in np.linspace(0.0, stop, steps)]
-    channels = [_CHANNELS[family][0](2, p) for p in grid]
+    channels = _CHANNEL_STACKS[family](2, grid)
     povm = _POVMS[povm_type][0](2)
     rows = [{"p": p} | ({"q_exact": capacity(2, p)} if capacity else {}) for p in grid]
     for f in FIGURE_FIDELITIES:

@@ -11,7 +11,15 @@ from qcapdet import (
     pauli_channel,
     weyl_unitary,
 )
-from qcapdet.channels import apply_transfers, transfer_input, weyl_unitaries
+from qcapdet.channels import (
+    _channels,
+    _depolarizing_channels,
+    _erasure_channels,
+    _pauli_channels,
+    apply_transfers,
+    transfer_input,
+    weyl_unitaries,
+)
 from qcapdet.errors import DimensionMismatchError, InvalidStateError
 from qcapdet.linalg import partial_trace_system
 from randinst import random_channel, random_density, random_probe
@@ -202,6 +210,127 @@ class TestApply:
             QuantumChannel(2, 2, (np.eye(2) * 0.9,))
         with pytest.raises(InvalidStateError):
             QuantumChannel(2, 2, ())
+
+
+class TestKrausArray:
+    """Kraus operators may come as one (n, dim_out, dim_in) array."""
+
+    def test_array_equals_the_sequence(self):
+        kraus = depolarizing_channel(2, 0.3).kraus
+        ch = QuantumChannel(2, 2, np.array(kraus), "array")
+        assert isinstance(ch.kraus, tuple) and len(ch.kraus) == 4
+        assert np.array_equal(ch.kraus, kraus)
+        assert np.array_equal(ch.transfer, QuantumChannel(2, 2, kraus).transfer)
+
+    def test_identity_array(self):
+        ch = QuantumChannel(2, 2, np.array([np.eye(2)]))
+        rho = random_density(np.random.default_rng(9), 2)
+        assert_allclose(apply_channel(ch, rho), rho, atol=1e-15)
+
+    @pytest.mark.parametrize("empty", [np.zeros((0, 2, 2)), np.zeros(0), [], ()])
+    def test_empty_stack_is_refused(self, empty):
+        with pytest.raises(InvalidStateError, match="^channel needs at least one Kraus operator$"):
+            QuantumChannel(2, 2, empty)
+
+    def test_checks_keep_their_messages(self):
+        with pytest.raises(DimensionMismatchError, match=r"^Kraus operator shape \(2, 3\) != \(2, 2\)$"):
+            QuantumChannel(2, 2, np.zeros((1, 2, 3)))
+        with pytest.raises(InvalidStateError, match="^Kraus operators contain non-finite entries$"):
+            QuantumChannel(2, 2, np.array([[[np.nan, 0], [0, 1]]]))
+        with pytest.raises(InvalidStateError, match="^Kraus operators are not trace preserving$"):
+            QuantumChannel(2, 2, np.array([0.9 * np.eye(2)]))
+        with pytest.raises(InvalidStateError, match="^Kraus operators are not trace preserving$"):
+            QuantumChannel(2, 2, np.array([[[1e308, 0], [0, 1]]]))
+
+
+def _blocks(values, size):
+    return [values[i : i + size] for i in range(0, len(values), size)]
+
+
+def _same_channel(a, b):
+    return (
+        (a.dim_in, a.dim_out, a.label) == (b.dim_in, b.dim_out, b.label)
+        and np.array_equal(a.kraus, b.kraus)
+        and np.array_equal(a.transfer, b.transfer)
+    )
+
+
+class TestStackedBuild:
+    """A family builder given N parameters builds N channels as one checked
+    stack with transfer matrices from one batched product; each equals,
+    bit for bit, the channel its one-point call builds."""
+
+    @pytest.mark.parametrize("size", [1, 3, 1024])
+    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize(
+        "stacked, one",
+        [(_depolarizing_channels, depolarizing_channel), (_erasure_channels, erasure_channel)],
+        ids=["depolarizing", "erasure"],
+    )
+    def test_noise_families_equal_their_one_point_builds(self, stacked, one, d, size):
+        rng = np.random.default_rng(d)
+        ps = [float(p) for p in rng.permutation(np.concatenate([[0.0, 1.0], rng.random(5)]))]
+        channels = [ch for block in _blocks(ps, size) for ch in stacked(d, block)]
+        assert len(channels) == len(ps)
+        assert all(_same_channel(ch, one(d, p)) for ch, p in zip(channels, ps))
+
+    @pytest.mark.parametrize("size", [1, 3, 1024])
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_pauli_grids_equal_their_one_point_builds(self, d, size):
+        rng = np.random.default_rng(100 + d)
+        grids = rng.random((5, d, d))
+        grids /= grids.sum(axis=(1, 2), keepdims=True)
+        grids[1] = 0.0
+        grids[1, 0, 0] = 1.0  # the identity channel
+        channels = [ch for block in _blocks(grids, size) for ch in _pauli_channels(block)]
+        assert all(_same_channel(ch, pauli_channel(grid)) for ch, grid in zip(channels, grids))
+
+    def test_a_lone_channel_forms_its_transfer_on_first_use(self):
+        (lone,) = _depolarizing_channels(2, [0.1])
+        assert "transfer" not in vars(lone)
+        pair = _depolarizing_channels(2, [0.1, 0.2])
+        assert all("transfer" in vars(ch) for ch in pair)
+
+    def test_a_corrupted_stack_names_its_first_failing_channel(self):
+        stack = np.array([np.array(depolarizing_channel(2, p).kraus) for p in (0.0, 0.1, 0.2, 0.3, 0.4)])
+        labels = [f"ch{k}" for k in range(5)]
+        bad = stack.copy()
+        bad[2] *= 1.1
+        bad[4, 0, 0, 0] = np.nan
+        with pytest.raises(InvalidStateError, match="^Kraus operators are not trace preserving$") as raised:
+            _channels(2, 2, bad, labels)
+        assert raised.value.row == 2
+        bad[1, 0, 0, 0] = np.inf
+        with pytest.raises(InvalidStateError, match="^Kraus operators contain non-finite entries$") as raised:
+            _channels(2, 2, bad, labels)
+        assert raised.value.row == 1
+        bad = stack.copy()
+        bad[3, 0, 0, 0] = 1e308  # fails before sum_k K^dagger K could overflow
+        with pytest.raises(InvalidStateError, match="^Kraus operators are not trace preserving$") as raised:
+            _channels(2, 2, bad, labels)
+        assert raised.value.row == 3
+        with pytest.raises(DimensionMismatchError, match=r"^Kraus operator shape \(2, 2\) != \(3, 2\)$"):
+            _channels(2, 3, stack, labels)
+
+    def test_a_bad_grid_names_its_first_failing_grid(self):
+        grids = np.full((4, 2, 2), 0.25)
+        grids[2, 0] = [0.5, 0.6]
+        grids[3, 0] = [1.5, -0.5]
+        with pytest.raises(InvalidStateError, match="^Weyl weights sum to 1.6, not 1$") as raised:
+            _pauli_channels(grids)
+        assert raised.value.row == 2
+        grids[1, 0] = [0.75, -0.25]
+        with pytest.raises(InvalidStateError, match="^negative Weyl weight -0.25$") as raised:
+            _pauli_channels(grids)
+        assert raised.value.row == 1
+
+    @pytest.mark.parametrize(
+        "stacked, noise",
+        [(_depolarizing_channels, "depolarizing strength"), (_erasure_channels, "erasure probability")],
+    )
+    def test_the_first_value_outside_the_domain_is_named(self, stacked, noise):
+        with pytest.raises(ValueError, match=rf"^{noise} 1.5 outside \[0, 1\]$"):
+            stacked(2, [0.0, 0.5, 1.5, -1.0])
 
 
 class TestExtended:

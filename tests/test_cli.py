@@ -326,6 +326,23 @@ def test_sweep_total_draws_above_cap_exit_2(tmp_path, capsys):
     assert err.startswith("config error:") and "steps x shots" in err
 
 
+@pytest.mark.parametrize(
+    "channel, povm, noise",
+    [("depolarizing", "bell", "depolarizing strength"), ("erasure", "erasure_adapted", "erasure probability")],
+)
+def test_p_sweep_stopping_outside_the_domain_exits_2(channel, povm, noise, tmp_path, capsys):
+    # the grid 0, 0.5, 1, 1.5: its first point builds, its first block holds the bad one
+    doc = dict(
+        BASE,
+        channel={"type": channel, "d": 2},
+        probe={"type": "isotropic", "d": 2, "F": 0.95},
+        povm={"type": povm},
+        sweep={"variable": "p", "start": 0.0, "stop": 1.5, "steps": 4},
+    )
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"config error: invalid channel spec: {noise} 1.5 outside [0, 1]\n"
+
+
 @pytest.mark.parametrize("d", ["1", "0", "-3", "1" + "0" * 200])
 def test_threshold_dimension_out_of_range_exits_2(d, capsys):
     assert main(["threshold", "--family", "erasure", "--d", d]) == 2

@@ -377,18 +377,19 @@ class TestChunkedSweep:
             assert abs(row["qdet"] - row["qdet_closed"]) < 1e-10
 
     def test_error_names_the_grid_index(self, monkeypatch):
-        # chunks of 3 points, so grid point 7 is point 1 of the third chunk
-        make, fields = harness._CHANNELS["depolarizing"]
+        # chunks of 3 points, so grid point 7 is point 1 of the third chunk;
+        # the stacked build forms its transfer matrix, so that is corrupted
+        build = harness._CHANNEL_STACKS["depolarizing"]
         built = []
 
-        def building(d, p):
-            ch = make(d, p)
-            built.append(ch)
-            if len(built) == 8:
-                object.__setattr__(ch, "kraus", tuple(1.1 * k for k in ch.kraus))  # bypass construction
-            return ch
+        def building(d, ps):
+            channels = build(d, ps)
+            built.extend(channels)
+            if len(built) == 8:  # the last block, points 6 and 7
+                vars(built[7])["transfer"] = 1.1**2 * built[7].transfer  # bypass construction
+            return channels
 
-        monkeypatch.setitem(harness._CHANNELS, "depolarizing", (building, fields))
+        monkeypatch.setitem(harness._CHANNEL_STACKS, "depolarizing", building)
         monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * 16)
         doc = {**DEPOL_SWEEP, "sweep": {**DEPOL_SWEEP["sweep"], "steps": 8}}
         with pytest.raises(InvalidStateError, match=r"^channel 7 \(depolarizing\(d=2, p=0.25\)\): "):
