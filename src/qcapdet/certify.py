@@ -232,8 +232,9 @@ class Detector:
     each chunk is pulled in full, so a lazy input builds all its items
     first, then certified in one stacked pass that checks every joint
     output, outcome distribution and the chain qdet <= I_c against the
-    exact oracle.  An error names the index, in the whole input, and label
-    of the first failing item.
+    exact oracle; a chunk of channels gets every E(rho) from one
+    apply_channel call.  An error names the index, in the whole input, and
+    label of the first failing item.
     """
 
     def __init__(self, probe: BipartiteProbeState, povm: Povm):
@@ -276,8 +277,9 @@ class Detector:
         channel's input dim against the probe's and reference x output against
         the POVM's, stacks their transfer matrices, and returns the stack with
         each channel's (channel, S[E(rho)], I_c) at this detector's marginal:
-        E(rho) through apply_channel with its check, then S[E(rho)] and the
-        purified outputs, each stack checked as one, giving S_e."""
+        every E(rho) from one apply_channel call with its checks, an error
+        renamed by its row, then S[E(rho)] and the purified outputs, each
+        stack checked as one, giving S_e."""
         d, dim = self.probe.d, self.povm.dim
         message = lambda k: (
             f"(dim_in, dim_out) = ({channels[k].dim_in}, {channels[k].dim_out}) does not fit probe dim {d}"
@@ -285,9 +287,12 @@ class Detector:
         )
         faults = [ch.dim_in != d or d * ch.dim_out != dim for ch in channels]
         check_rows(DimensionMismatchError, faults, (message,), names)
+        try:
+            outputs = apply_channel(channels, self.rho)
+        except CertificationError as exc:
+            raise _renamed(exc, names, exc.row) from exc
+        output_entropies = spectral_entropies(density_spectra(outputs, names))
         transfers = np.array([ch.transfer for ch in channels])
-        outputs = [_named(names, k, apply_channel, ch, self.rho) for k, ch in enumerate(channels)]
-        output_entropies = spectral_entropies(density_spectra(np.array(outputs), names))
         purified = apply_transfers(transfers, self.purification_pairs, d)
         exchange_entropies = spectral_entropies(density_spectra(purified, names))
         return transfers, [(ch, s, s - s_e) for ch, s, s_e in zip(channels, output_entropies, exchange_entropies)]
@@ -393,15 +398,6 @@ def _renamed(exc: CertificationError, names: list[str], k: int) -> Certification
     renamed = type(exc)(f"{names[k]}: {exc}")
     renamed.row = k
     return renamed
-
-
-def _named(names: list[str], k: int, fn, *args):
-    """fn(*args) for row k of a stack, a CertificationError it raises
-    renamed by _renamed."""
-    try:
-        return fn(*args)
-    except CertificationError as exc:
-        raise _renamed(exc, names, k) from exc
 
 
 def certify(

@@ -9,13 +9,15 @@ one level; the flag state sits at index ``d`` of the output basis.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .linalg import PROB_TOL, TP_TOL, check_dimension, check_rows, check_within, validate_density_matrix
+from .linalg import PROB_TOL, TP_TOL, check_dimension, check_rows, check_within
+from .linalg import validate_density_matrices, validate_density_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,17 +202,37 @@ def apply_transfers(transfers: np.ndarray, pairs: np.ndarray, dim_ref: int) -> n
     return out.reshape(product.shape[:-2] + (dim_ref * o, dim_ref * o))
 
 
-def apply_channel(ch: QuantumChannel, rho) -> np.ndarray:
-    """sum_k K rho K^dagger: the extended channel with a one-level reference."""
+def apply_channel(ch: QuantumChannel | Iterable[QuantumChannel], rho) -> np.ndarray:
+    """sum_k K rho K^dagger, for one channel or each of a sequence: the
+    extended channel with a one-level reference."""
     return apply_extended_channel(ch, rho, 1)
 
 
-def apply_extended_channel(ch: QuantumChannel, sigma, dim_ref: int) -> np.ndarray:
-    """Apply identity-on-reference tensor the channel to a bipartite state;
-    the input and the output are validated as density matrices."""
+def apply_extended_channel(ch: QuantumChannel | Iterable[QuantumChannel], sigma, dim_ref: int) -> np.ndarray:
+    """Apply identity-on-reference tensor the channel to a bipartite state,
+    for one QuantumChannel or each of a non-empty sequence of channels that
+    share (dim_in, dim_out).  The state is checked once as a density matrix.
+    A sequence's outputs are one product of its stacked transfer matrices,
+    returned as a stack (N, dim_ref * dim_out, dim_ref * dim_out); one
+    channel's output is its matrix.  The outputs are checked as one stack
+    by validate_density_matrices; a failure, and a channel whose dims
+    differ from the first's, gives its index as ``row``."""
     sigma = validate_density_matrix(sigma)
-    if sigma.shape[0] != dim_ref * ch.dim_in:
+    single = isinstance(ch, QuantumChannel)
+    channels = [ch] if single else list(ch)
+    if not channels:
+        exc = DimensionMismatchError("no channels to apply")
+        exc.row = 0
+        raise exc
+    dims = [(c.dim_in, c.dim_out) for c in channels]
+    message = lambda k: f"channel (dim_in, dim_out) = {dims[k]} != {dims[0]} of channel 0"
+    check_rows(DimensionMismatchError, [dim != dims[0] for dim in dims], (message,))
+    dim_in = dims[0][0]
+    if sigma.shape[0] != dim_ref * dim_in:
         raise DimensionMismatchError(
-            f"state dim {sigma.shape[0]} != reference x channel input dim = {dim_ref} x {ch.dim_in}"
+            f"state dim {sigma.shape[0]} != reference x channel input dim = {dim_ref} x {dim_in}"
         )
-    return validate_density_matrix(apply_transfers(ch.transfer, transfer_input(sigma, dim_ref, ch.dim_in), dim_ref))
+    transfers = ch.transfer if single else np.array([c.transfer for c in channels])
+    outputs = apply_transfers(transfers, transfer_input(sigma, dim_ref, dim_in), dim_ref)
+    validate_density_matrices(outputs.reshape((-1,) + outputs.shape[-2:]))
+    return outputs

@@ -113,6 +113,20 @@ def validate_density_matrix(rho) -> np.ndarray:
     return rho
 
 
+def validate_density_matrices(stack: np.ndarray) -> np.ndarray:
+    """Check each matrix of a complex stack (N, n, n) as
+    validate_density_matrix checks one, in its order: finite entries, then
+    Hermitian, trace and positivity, from one eigvalsh.  The first failing
+    row gives its index as ``row``; return the stack."""
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        if first := int(np.argmin(finite)):  # the rows before the first non-finite one are checked first
+            density_spectra(stack[:first])
+        check_rows(InvalidStateError, ~finite, (lambda k: "matrix contains non-finite entries",))
+    density_spectra(stack)
+    return stack
+
+
 def probability_vectors(p: np.ndarray, names: Sequence[str] = ()) -> np.ndarray:
     """Validate each row (last axis) of a real array as a probability vector
     and clamp it to [0, 1] entrywise.  An error names the first failing row

@@ -115,9 +115,15 @@ def sample_outcomes(p, shots: int, seed: int) -> ShotRecord:
     shot count the last word's high half is no draw: it is counted with its
     chunk and then taken back.  Above _COMPARE_MAX_OUTCOMES outcomes a chunk
     is counted by sorting its draws in place and placing each threshold
-    among them by binary search, which counts the same draws exactly."""
-    if shots < 1:
+    among them by binary search, which counts the same draws exactly.
+
+    A shot count below 1, NaN included, or not an integer is refused; an
+    integral float such as 10.0 passes and is recorded as int(shots)."""
+    if not shots >= 1:
         raise ValueError(f"shot count {shots} must be at least 1")
+    if not (isinstance(shots, int) or float(shots).is_integer()):  # an int of any size, without converting it
+        raise ValueError(f"shot count {shots} must be an integer")
+    shots = int(shots)
     p = probability_vector(p)
     thresholds = np.ceil(np.cumsum(p[:-1]) * 2.0**32)
     inside = np.count_nonzero(thresholds < 2.0**32)  # cumsum never falls, so these lead

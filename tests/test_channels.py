@@ -3,11 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcapdet import (
+    Detector,
     QuantumChannel,
     apply_channel,
     apply_extended_channel,
+    bell_povm,
     depolarizing_channel,
     erasure_channel,
+    isotropic_probe,
     pauli_channel,
     weyl_unitary,
 )
@@ -381,6 +384,111 @@ class TestExtended:
                 assert np.array_equal(pair, transfer_input(sigma, d, d))
                 assert np.array_equal(out, apply_transfers(ch.transfer, pair, d))  # the same product per input
                 assert_allclose(out, apply_extended_channel(ch, sigma, d), atol=1e-12)
+
+
+def corrupted_at_one(corrupt):
+    """Three d = 2 depolarizing channels, built one by one so that each forms
+    its transfer matrix on first use, with channel 1's Kraus operators
+    replaced by corrupt(K) after construction."""
+    channels = [depolarizing_channel(2, p) for p in (0.1, 0.2, 0.3)]
+    object.__setattr__(channels[1], "kraus", tuple(corrupt(k) for k in channels[1].kraus))  # bypass construction
+    return channels
+
+
+class TestApplySequence:
+    """apply_channel and apply_extended_channel over a sequence of channels
+    sharing (dim_in, dim_out): one product of the stacked transfer matrices,
+    checked as one stack, each output as the channel alone gives it."""
+
+    def families(self, rng, d):
+        """Channels of each family at input dim d, grouped by (dim_in, dim_out)."""
+        grids = rng.random((3, d, d))
+        return [
+            _depolarizing_channels(d, [0.0, 0.3, 1.0]),
+            _erasure_channels(d, [0.0, 0.25, 1.0]),
+            _pauli_channels(grids / grids.sum(axis=(1, 2), keepdims=True)),
+            [pauli_channel(grid / grid.sum()) for grid in grids],  # transfer matrices formed on first use
+            [random_channel(rng, d, d + 1) for _ in range(3)],
+        ]
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_the_stack_equals_the_outputs_one_by_one(self, d):
+        rng = np.random.default_rng(40 + d)
+        rho, sigma = random_density(rng, d), random_probe(rng, d).sigma
+        for channels in self.families(rng, d):
+            stacked = apply_channel(channels, rho)
+            assert stacked.shape == (len(channels), channels[0].dim_out, channels[0].dim_out)
+            assert all(np.array_equal(out, apply_channel(ch, rho)) for out, ch in zip(stacked, channels))
+            extended = apply_extended_channel(iter(channels), sigma, d)  # any iterable
+            assert extended.shape == (len(channels), d * channels[0].dim_out, d * channels[0].dim_out)
+            assert all(np.array_equal(out, apply_extended_channel(ch, sigma, d)) for out, ch in zip(extended, channels))
+
+    def test_one_channel_gives_its_matrix_and_a_list_of_one_a_stack(self):
+        ch, rho = erasure_channel(3, 0.2), random_density(np.random.default_rng(12), 3)
+        assert apply_channel(ch, rho).shape == (4, 4)
+        assert np.array_equal(apply_channel([ch], rho), apply_channel(ch, rho)[None])
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_n_channels_make_two_decompositions(self, monkeypatch, n):
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        apply_channel(_depolarizing_channels(3, np.linspace(0.0, 1.0, n)), np.eye(3) / 3)
+        assert calls == ["eigvalsh", "eigvalsh"]  # the state, then the stack of outputs
+
+    def test_mixed_dims_are_refused_with_the_first_row(self):
+        channels = [depolarizing_channel(2, 0.1), depolarizing_channel(2, 0.2), erasure_channel(2, 0.1)]
+        message = r"^channel \(dim_in, dim_out\) = \(2, 3\) != \(2, 2\) of channel 0$"
+        with pytest.raises(DimensionMismatchError, match=message) as raised:
+            apply_channel(channels, np.eye(2) / 2)
+        assert raised.value.row == 2
+
+    def test_an_empty_sequence_is_refused(self):
+        with pytest.raises(DimensionMismatchError, match="^no channels to apply$") as raised:
+            apply_channel([], np.eye(2) / 2)
+        assert raised.value.row == 0
+
+    def test_the_state_is_checked_first(self):
+        with pytest.raises(InvalidStateError, match="^density matrix trace"):
+            apply_channel(corrupted_at_one(lambda k: 1.1 * k), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda k: 1.1 * k, r"density matrix trace \(1.2100000000000002\+0j\) differs from 1"),
+            (lambda k: np.full_like(k, np.nan), "matrix contains non-finite entries"),
+        ],
+        ids=["scaled", "nan"],
+    )
+    def test_a_corrupted_channel_is_named_by_its_row(self, corrupt, message):
+        channels = corrupted_at_one(corrupt)
+        with pytest.raises(InvalidStateError, match=f"^{message}$") as raised:
+            apply_channel(channels, np.eye(2) / 2)
+        assert raised.value.row == 1
+        with pytest.raises(InvalidStateError, match=f"^{message}$"):  # the message the channel alone gives
+            apply_channel(channels[1], np.eye(2) / 2)
+
+    def test_a_non_finite_row_is_named_after_an_earlier_failing_row(self):
+        channels = corrupted_at_one(lambda k: 1.1 * k)
+        object.__setattr__(channels[2], "kraus", tuple(np.full_like(k, np.nan) for k in channels[2].kraus))
+        with pytest.raises(InvalidStateError, match="^density matrix trace") as raised:
+            apply_channel(channels, np.eye(2) / 2)
+        assert raised.value.row == 1
+
+    def test_the_detector_names_a_non_finite_output(self):
+        detector = Detector(isotropic_probe(2, 0.95), bell_povm(2))
+        message = r"^channel 1 \(depolarizing\(d=2, p=0.2\)\): matrix contains non-finite entries$"
+        with pytest.raises(InvalidStateError, match=message) as raised:
+            list(detector.certify_many(corrupted_at_one(lambda k: np.full_like(k, np.nan))))
+        assert raised.value.row == 1
 
 
 class TestIdentity:

@@ -136,6 +136,25 @@ class TestSampleOutcomes:
         with pytest.raises(InvalidStateError, match=r"^negative outcome count -1$"):
             ShotRecord((5, -1), 4, 0)
 
+    @pytest.mark.parametrize(
+        "shots, message",
+        [
+            (10.5, "shot count 10.5 must be an integer"),
+            (float("inf"), "shot count inf must be an integer"),
+            (float("nan"), "shot count nan must be at least 1"),
+            (0.5, "shot count 0.5 must be at least 1"),
+        ],
+    )
+    def test_a_fractional_or_non_finite_count_is_refused(self, shots, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_outcomes([0.5, 0.5], shots, 1)
+
+    @pytest.mark.parametrize("shots", [10.0, np.float64(11.0), np.int64(11)])
+    def test_an_integral_count_is_recorded_as_an_int(self, shots):
+        record = sample_outcomes([0.5, 0.5], shots, 1)
+        assert type(record.shots) is int and record.shots == shots
+        assert record == sample_outcomes([0.5, 0.5], int(shots), 1)
+
 
 def random_distribution(rng, n, zeros=0):
     p = rng.random(n) ** 3

@@ -417,6 +417,23 @@ class TestSweepDecompositionCount:
         assert len(count) == 5 + 1
 
 
+class TestNoiseSweepDecompositionCount:
+    """An n-point p sweep in chunks of c points makes 1 + 5 ceil(n/c)
+    decompositions: the Detector's one, then per chunk the state and the
+    stacked E(rho) checked inside its one apply_channel call, S[E(rho)],
+    the purified oracle and the joint-output check."""
+
+    count = TestSweepDecompositionCount.count  # the same eigh and eigvalsh counter
+
+    @pytest.mark.parametrize("family, povm, dim", [("depolarizing", "bell", 9), ("erasure", "erasure_adapted", 12)])
+    @pytest.mark.parametrize("c", [1, 3, 4])
+    def test_five_per_chunk(self, count, monkeypatch, family, povm, dim, c):
+        monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", c * dim * dim)  # c points of a d = 3 sweep
+        probe = {"type": "isotropic", "d": 3, "F": 0.95}
+        run_sweep(SweepSpec({"type": family, "d": 3}, probe, {"type": povm}, "p", 0.0, 0.1, 10))
+        assert len(count) == 1 + 5 * math.ceil(10 / c)
+
+
 class TestOneStatisticsPassPerChunk:
     """Each certified chunk takes all its bounds with one
     qdet_from_statistics call: one per certify(), ceil(n/c) for an n-point

@@ -337,9 +337,10 @@ class TestCoarseGrain:
 class TestDecompositionCount:
     """Each decomposition runs once: building a probe makes none; Detector
     makes one eigh of rho^T; a certify call makes the two checks inside
-    apply_channel, S[E(rho)], the joint output check and the purified
-    oracle.  certify_many of N channels makes the 2N checks inside
-    apply_channel and one stacked eigvalsh for each of the other three."""
+    apply_channel (the state, then its output), S[E(rho)], the joint output
+    check and the purified oracle.  certify_many of N channels in one chunk
+    makes the same five: one apply_channel call takes every E(rho), and
+    each other decomposition is one stacked eigvalsh."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -374,9 +375,9 @@ class TestDecompositionCount:
         assert len(count) == 5
 
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_certify_many_makes_2n_plus_3(self, count, n):
+    def test_certify_many_makes_five_per_chunk(self, count, n):
         detector = Detector(isotropic_probe(3, 0.9), bell_povm(3))
         channels = [depolarizing_channel(3, 0.1 * k) for k in range(n)]
         count.clear()
         list(detector.certify_many(channels))
-        assert len(count) == 2 * n + 3
+        assert len(count) == 5
