@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .channels import QuantumChannel, apply_channel, apply_extended_channel, apply_transfers, transfer_input
 from .errors import (
-    CertificationError,
     DegenerateMeasurementError,
     DimensionMismatchError,
     InternalConsistencyError,
@@ -102,8 +101,7 @@ def entropy_exchange(rho, ch: QuantumChannel, purification: np.ndarray | None = 
 
 
 def coherent_information(rho, ch: QuantumChannel) -> float:
-    """S[E(rho)] - S_e(rho, E); may be negative."""
-    rho = validate_density_matrix(rho)
+    """S[E(rho)] - S_e(rho, E); may be negative.  apply_channel checks rho."""
     return von_neumann_entropy(apply_channel(ch, rho)) - entropy_exchange(rho, ch)
 
 
@@ -233,8 +231,8 @@ class Detector:
     first, then certified in one stacked pass that checks every joint
     output, outcome distribution and the chain qdet <= I_c against the
     exact oracle; a chunk of channels gets every E(rho) from one
-    apply_channel call.  An error names the index, in the whole input, and
-    label of the first failing item.
+    apply_channel call, checked and decomposed once.  An error names the
+    index, in the whole input, and label of the first failing item.
     """
 
     def __init__(self, probe: BipartiteProbeState, povm: Povm):
@@ -277,9 +275,9 @@ class Detector:
         channel's input dim against the probe's and reference x output against
         the POVM's, stacks their transfer matrices, and returns the stack with
         each channel's (channel, S[E(rho)], I_c) at this detector's marginal:
-        every E(rho) from one apply_channel call with its checks, an error
-        renamed by its row, then S[E(rho)] and the purified outputs, each
-        stack checked as one, giving S_e."""
+        every E(rho) from one apply_channel call, then the purified outputs,
+        each stack checked as one by the density_spectra call that gives its
+        entropies, S[E(rho)] and S_e."""
         d, dim = self.probe.d, self.povm.dim
         message = lambda k: (
             f"(dim_in, dim_out) = ({channels[k].dim_in}, {channels[k].dim_out}) does not fit probe dim {d}"
@@ -287,10 +285,7 @@ class Detector:
         )
         faults = [ch.dim_in != d or d * ch.dim_out != dim for ch in channels]
         check_rows(DimensionMismatchError, faults, (message,), names)
-        try:
-            outputs = apply_channel(channels, self.rho)
-        except CertificationError as exc:
-            raise _renamed(exc, names, exc.row) from exc
+        outputs = apply_channel(channels, self.rho)
         output_entropies = spectral_entropies(density_spectra(outputs, names))
         transfers = np.array([ch.transfer for ch in channels])
         purified = apply_transfers(transfers, self.purification_pairs, d)
@@ -363,7 +358,9 @@ class Detector:
             if k := exc.row:  # a chain failure at an earlier point is reported first, as point by point
                 bounds = grouped_bound(probabilities[:k], weights[:k], output_entropy[:k], groupings[:k])
                 _check_chain(names, bounds[0], oracle[:k])
-            raise _renamed(exc, names, k) from exc
+            renamed = DegenerateMeasurementError(f"{names[k]}: {exc}")  # named as the stacked checks name a row
+            renamed.row = k
+            raise renamed from exc
         _check_chain(names, qdet, oracle)
         rows = zip(points, qdet.tolist(), prob_entropy.tolist(), log_tp.tolist(), groupings, probabilities)
         return [
@@ -390,14 +387,6 @@ def _check_chain(names: list[str], qdet: np.ndarray, oracle: np.ndarray) -> None
     """qdet <= I_c + CHAIN_TOL at every point, else an error naming the first that fails."""
     message = lambda k: f"detected bound {qdet[k].tolist()} exceeds the coherent information {oracle[k].tolist()}"
     check_rows(InternalConsistencyError, qdet > oracle + CHAIN_TOL, (message,), names)
-
-
-def _renamed(exc: CertificationError, names: list[str], k: int) -> CertificationError:
-    """``exc`` as row k of a stack fails it: its type, its text prefixed by
-    row k's name, and ``row`` = k."""
-    renamed = type(exc)(f"{names[k]}: {exc}")
-    renamed.row = k
-    return renamed
 
 
 def certify(
@@ -460,14 +449,21 @@ def erasure_exact_capacity(d: int, p: float) -> float:
     return max(0.0, (1.0 - 2.0 * p)) * math.log2(d)
 
 
-# What is known of each channel family, by its channel config type:
-# (POVM type its closed form holds for, with an isotropic probe; that closed
-# form qdet(d, p, F); exact capacity Q(d, p), or None; published fidelity
-# threshold).  The depolarizing root of the closed form lands near 0.811
-# instead of the quoted 0.818 (see README), so the CLI reports both.
+class _Family(NamedTuple):
+    """What is known of a channel family."""
+
+    povm: str  # the POVM type its closed form holds for, with an isotropic probe
+    closed_form: Callable[[int, float, float], float]  # qdet(d, p, F)
+    capacity: Callable[[int, float], float] | None  # exact Q(d, p), where known
+    threshold: float  # published fidelity threshold
+
+
+# Each channel family, by its channel config type.  The depolarizing root of
+# the closed form lands near 0.811 instead of the quoted 0.818 (see README),
+# so the CLI reports both.
 FAMILIES = {
-    "depolarizing": ("bell", depolarizing_isotropic_qdet, None, 0.818),
-    "erasure": ("erasure_adapted", erasure_qdet_closed_form, erasure_exact_capacity, 0.811),
+    "depolarizing": _Family("bell", depolarizing_isotropic_qdet, None, 0.818),
+    "erasure": _Family("erasure_adapted", erasure_qdet_closed_form, erasure_exact_capacity, 0.811),
 }
 
 
@@ -484,7 +480,7 @@ def threshold_fidelity(channel_family: str, d: int) -> float:
     if channel_family not in FAMILIES:
         raise ValueError(f"unsupported channel family {channel_family!r}")
     check_dimension(d)
-    closed = FAMILIES[channel_family][1]
+    closed = FAMILIES[channel_family].closed_form
     best_at = lambda f: max(closed(d, 0.0, f), closed(d, 1.0, f))
     lo, hi = 1.0 / d**2, 1.0
     if best_at(lo) > 0.0:

@@ -1,51 +1,46 @@
 """Quantum channel construction and application.
 
-Channels are stored as Kraus operator lists and validated to be trace
-preserving at construction; the family builders build a list of channels as
-one checked stack.  The erasure channel enlarges the output space by
-one level; the flag state sits at index ``d`` of the output basis.
+A channel is a checked, frozen value: its Kraus operators are validated to
+be trace preserving when it is built, and it keeps them, with its transfer
+matrix, as read-only arrays.  The family builders build a list of channels
+as one checked stack.  The erasure channel enlarges the output space by one
+level; the flag state sits at index ``d`` of the output basis.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .linalg import PROB_TOL, TP_TOL, check_dimension, check_rows, check_within
-from .linalg import validate_density_matrices, validate_density_matrix
+from .linalg import PROB_TOL, TP_TOL, check_dimension, check_rows, check_within, validate_density_matrix
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map given by Kraus operators, a
-    sequence of matrices or an (n, dim_out, dim_in) array, checked when built
-    as a stack of one channel by _check_kraus.  The transfer matrix is formed
-    on first use by _kraus_transfers, as a stack of one; a family builder's
-    channels, when it builds several, carry theirs from its one batched
-    product.  Channels compare and hash by identity."""
+    sequence of matrices or an (n, dim_out, dim_in) array, copied and built
+    by _channels as a stack of one: checked, and kept as one read-only
+    (n, dim_out, dim_in) array with the read-only transfer matrix formed
+    from it.  Channels compare and hash by identity."""
 
     dim_in: int
     dim_out: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     label: str = "channel"
+    transfer: np.ndarray = field(init=False, repr=False)  # sum_k K x conj(K), (dim_out^2, dim_in^2)
 
     def __post_init__(self):
         try:
-            stack = np.asarray(self.kraus, dtype=complex)
+            stack = np.array(self.kraus, dtype=complex)
         except ValueError as exc:  # ragged: the operators differ in shape
             raise DimensionMismatchError(f"Kraus operators do not stack: {exc}") from exc
-        _check_kraus(stack[None], self.dim_in, self.dim_out)
-        object.__setattr__(self, "kraus", tuple(stack))
-
-    @cached_property
-    def transfer(self) -> np.ndarray:
-        """sum_k K x conj(K) as a (dim_out^2, dim_in^2) matrix, formed on first use."""
-        return _kraus_transfers(np.array(self.kraus)[None])[0]
+        (built,) = _channels(self.dim_in, self.dim_out, stack[None], [self.label])
+        vars(self).update(vars(built))
 
 
 def _check_kraus(stack: np.ndarray, dim_in: int, dim_out: int) -> None:
@@ -83,18 +78,18 @@ def _kraus_transfers(stack: np.ndarray) -> np.ndarray:
 
 
 def _channels(dim_in: int, dim_out: int, stack: np.ndarray, labels: list[str]) -> list[QuantumChannel]:
-    """One channel per Kraus set of a family's stack (N, n, dim_out, dim_in),
-    each with its label.  A lone channel is QuantumChannel's own case, its
-    transfer matrix formed on first use from its Kraus operators; a stack of
-    several is checked by one _check_kraus call, and each channel is given
-    its transfer matrix from one _kraus_transfers call."""
-    if len(stack) == 1:
-        return [QuantumChannel(dim_in, dim_out, stack[0], labels[0])]
+    """One channel per Kraus set of a fresh stack (N, n, dim_out, dim_in),
+    each with its label, the one way a channel is built: the stack is checked
+    by one _check_kraus call and frozen, and each channel is given its slice
+    of it and its transfer matrix from one _kraus_transfers call, read-only."""
     _check_kraus(stack, dim_in, dim_out)
+    transfers = _kraus_transfers(stack)
+    stack.setflags(write=False)
+    transfers.setflags(write=False)
     channels = []
-    for kraus, transfer, label in zip(stack, _kraus_transfers(stack), labels):
+    for kraus, transfer, label in zip(stack, transfers, labels):
         ch = object.__new__(QuantumChannel)  # checked above, as one stack
-        vars(ch).update(dim_in=dim_in, dim_out=dim_out, kraus=tuple(kraus), label=label, transfer=transfer)
+        vars(ch).update(dim_in=dim_in, dim_out=dim_out, kraus=kraus, label=label, transfer=transfer)
         channels.append(ch)
     return channels
 
@@ -211,12 +206,12 @@ def apply_channel(ch: QuantumChannel | Iterable[QuantumChannel], rho) -> np.ndar
 def apply_extended_channel(ch: QuantumChannel | Iterable[QuantumChannel], sigma, dim_ref: int) -> np.ndarray:
     """Apply identity-on-reference tensor the channel to a bipartite state,
     for one QuantumChannel or each of a non-empty sequence of channels that
-    share (dim_in, dim_out).  The state is checked once as a density matrix.
-    A sequence's outputs are one product of its stacked transfer matrices,
-    returned as a stack (N, dim_ref * dim_out, dim_ref * dim_out); one
-    channel's output is its matrix.  The outputs are checked as one stack
-    by validate_density_matrices; a failure, and a channel whose dims
-    differ from the first's, gives its index as ``row``."""
+    share (dim_in, dim_out).  The state is checked once as a density matrix;
+    the outputs are not, since a checked channel maps it to density
+    matrices.  A sequence's outputs are one product of its stacked transfer
+    matrices, returned as a stack (N, dim_ref * dim_out, dim_ref * dim_out);
+    one channel's output is its matrix.  A channel whose dims differ from
+    the first's gives its index as ``row``."""
     sigma = validate_density_matrix(sigma)
     single = isinstance(ch, QuantumChannel)
     channels = [ch] if single else list(ch)
@@ -233,6 +228,4 @@ def apply_extended_channel(ch: QuantumChannel | Iterable[QuantumChannel], sigma,
             f"state dim {sigma.shape[0]} != reference x channel input dim = {dim_ref} x {dim_in}"
         )
     transfers = ch.transfer if single else np.array([c.transfer for c in channels])
-    outputs = apply_transfers(transfers, transfer_input(sigma, dim_ref, dim_in), dim_ref)
-    validate_density_matrices(outputs.reshape((-1,) + outputs.shape[-2:]))
-    return outputs
+    return apply_transfers(transfers, transfer_input(sigma, dim_ref, dim_in), dim_ref)

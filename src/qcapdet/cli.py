@@ -127,7 +127,7 @@ def _cmd_threshold(args) -> int:
         computed = threshold_fidelity(args.family, args.d)
     except ValueError as exc:  # --d below 2, or d^2 beyond the float range
         raise ConfigError(f"--d: {exc}") from exc
-    reference = FAMILIES[args.family][3]
+    reference = FAMILIES[args.family].threshold
     row = {
         "family": args.family,
         "d": args.d,

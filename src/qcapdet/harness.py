@@ -285,9 +285,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     if spec.variable not in read[swept][1]:
         raise ConfigError(f"sweeping {spec.variable!r} needs a {swept} type with a {spec.variable!r} field")
     fixed = {variable: read[where][1].get(variable, value) for variable, (where, value) in _SWEEP_VARIABLES.items()}
-    povm_type, closed_form, capacity, _ = FAMILIES.get(spec.channel["type"], (None,) * 4)
-    if povm_type != spec.povm["type"] or spec.probe["type"] not in ("isotropic", "max_entangled"):
-        closed_form = None
+    family = FAMILIES.get(spec.channel["type"])
+    isotropic = spec.probe["type"] in ("isotropic", "max_entangled")
+    closed_form = family.closed_form if family and family.povm == spec.povm["type"] and isotropic else None
+    capacity = family.capacity if family else None
     make, args = read[swept]
     if spec.variable == "p":
         build = lambda values: _make(swept, _CHANNEL_STACKS[spec.channel["type"]], {**args, "p": values})
@@ -334,10 +335,10 @@ def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
     if steps < 1:
         raise ConfigError(f"figure needs at least 1 step, got {steps}")
     family, stop = FIGURES[which]
-    povm_type, _, capacity, _ = FAMILIES[family]
+    capacity = FAMILIES[family].capacity
     grid = [float(p) for p in np.linspace(0.0, stop, steps)]
     channels = _CHANNEL_STACKS[family](2, grid)
-    povm = _POVMS[povm_type][0](2)
+    povm = _POVMS[FAMILIES[family].povm][0](2)
     rows = [{"p": p} | ({"q_exact": capacity(2, p)} if capacity else {}) for p in grid]
     for f in FIGURE_FIDELITIES:
         for row, result in zip(rows, Detector(isotropic_probe(2, f), povm).certify_many(channels)):

@@ -80,13 +80,18 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def density_spectra(stack: np.ndarray, names: Sequence[str] = (), vectors: bool = False):
     """Eigenvalues of each matrix of a complex stack (..., n, n), one eigvalsh
     for the whole stack, after checking that each is a density matrix:
-    square, Hermitian, of unit trace and positive semidefinite.  An error
-    names the first failing matrix of a stack by ``names`` and gives its
-    index as ``row``.  With ``vectors`` (one matrix), the check's one
-    decomposition, as hermitian_eigen gives it."""
+    square, with finite entries, Hermitian, of unit trace and positive
+    semidefinite.  An error names the first failing matrix of a stack by
+    ``names`` and gives its index as ``row``.  With ``vectors`` (one
+    matrix), the check's one decomposition, as hermitian_eigen gives it."""
     n = stack.shape[-1]
     if stack.shape[-2] != n:
         raise DimensionMismatchError(f"density matrix must be square, got {stack.shape}")
+    if not np.isfinite(stack).all():  # never decomposed; the rows before the first such row are checked first
+        finite = np.isfinite(stack).all(axis=(-2, -1)).reshape(-1)
+        if first := int(np.argmin(finite)):
+            density_spectra(stack.reshape(-1, n, n)[:first], names)
+        check_rows(InvalidStateError, ~finite, (lambda k: "matrix contains non-finite entries",), names)
     adjoint = stack.conj().swapaxes(-1, -2)
     spectrum = _descending_eigh(stack) if vectors else None
     evals = spectrum.eigenvalues if vectors else np.linalg.eigvalsh((stack + adjoint) / 2.0)
@@ -104,27 +109,13 @@ def density_spectra(stack: np.ndarray, names: Sequence[str] = (), vectors: bool 
 
 
 def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace; return the array.
+    """Check finiteness, Hermiticity, positivity and unit trace; return the array.
 
     Raises InvalidStateError if any invariant fails beyond tolerance.
     """
     rho = as_complex_matrix(rho)
     density_spectra(rho)
     return rho
-
-
-def validate_density_matrices(stack: np.ndarray) -> np.ndarray:
-    """Check each matrix of a complex stack (N, n, n) as
-    validate_density_matrix checks one, in its order: finite entries, then
-    Hermitian, trace and positivity, from one eigvalsh.  The first failing
-    row gives its index as ``row``; return the stack."""
-    if not np.isfinite(stack).all():
-        finite = np.isfinite(stack).all(axis=(-2, -1))
-        if first := int(np.argmin(finite)):  # the rows before the first non-finite one are checked first
-            density_spectra(stack[:first])
-        check_rows(InvalidStateError, ~finite, (lambda k: "matrix contains non-finite entries",))
-    density_spectra(stack)
-    return stack
 
 
 def probability_vectors(p: np.ndarray, names: Sequence[str] = ()) -> np.ndarray:

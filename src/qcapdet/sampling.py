@@ -14,6 +14,7 @@ library version.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,22 @@ def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
+def _seed(seed) -> int:
+    """The one seed rule: an int of any size, taken mod 2^64 by the stream, or an integral float, read as int."""
+    if isinstance(seed, numbers.Integral) or (isinstance(seed, numbers.Real) and float(seed).is_integer()):
+        return int(seed)
+    raise ValueError(f"seed {seed} must be an integer")
+
+
+def _shot_count(shots) -> int:
+    """The one shot-count rule: an integer of at least 1, or an integral float, read as int."""
+    if not shots >= 1:
+        raise ValueError(f"shot count {shots} must be at least 1")
+    if not (isinstance(shots, int) or float(shots).is_integer()):  # an int of any size, without converting it
+        raise ValueError(f"shot count {shots} must be an integer")
+    return int(shots)
+
+
 def _steps(count: int) -> np.ndarray:
     """Counter increments (1 .. count) * GAMMA mod 2^64."""
     return np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
@@ -63,6 +80,7 @@ def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Draws offset .. offset+count-1 as doubles m 2^-32 in [0, 1), m the
     draw's 32 bits: the low half of word k // 2 for an even draw index k,
     the high half for an odd one."""
+    seed = _seed(seed)
     first = offset // 2
     words = _stream_words(seed, first, _steps((offset + count + 1) // 2 - first))
     draws = np.stack([words & _LOW32, words >> _DRAW_BITS], axis=-1).reshape(-1)
@@ -71,6 +89,7 @@ def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
 def derive_subseed(seed: int, index: int) -> int:
     """Decorrelated child seed for grid point `index` of a sweep."""
+    seed = _seed(seed)
     # 1-element arrays: numpy warns on scalar uint64 overflow, not on arrays
     base = np.array([seed & _MASK64], dtype=np.uint64)
     salt = _mix64(np.array([(index + 1) & _MASK64], dtype=np.uint64) * _GAMMA)
@@ -79,15 +98,16 @@ def derive_subseed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Outcome counts of a finite measurement run, checked when built."""
+    """Outcome counts of a finite measurement run, checked when built; the
+    shot count and seed by sample_outcomes' rules, and recorded as ints."""
 
     counts: tuple[int, ...]
     shots: int
     seed: int
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shot count {self.shots} must be at least 1")
+        object.__setattr__(self, "shots", _shot_count(self.shots))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if min(self.counts, default=0) < 0:
             raise InvalidStateError(f"negative outcome count {min(self.counts)}")
         if sum(self.counts) != self.shots:
@@ -117,13 +137,10 @@ def sample_outcomes(p, shots: int, seed: int) -> ShotRecord:
     is counted by sorting its draws in place and placing each threshold
     among them by binary search, which counts the same draws exactly.
 
-    A shot count below 1, NaN included, or not an integer is refused; an
-    integral float such as 10.0 passes and is recorded as int(shots)."""
-    if not shots >= 1:
-        raise ValueError(f"shot count {shots} must be at least 1")
-    if not (isinstance(shots, int) or float(shots).is_integer()):  # an int of any size, without converting it
-        raise ValueError(f"shot count {shots} must be an integer")
-    shots = int(shots)
+    A shot count below 1, NaN included, or not an integer is refused, and
+    so is a seed that is not an integer; an integral float such as 10.0
+    passes either and is recorded as an int."""
+    shots, seed = _shot_count(shots), _seed(seed)
     p = probability_vector(p)
     thresholds = np.ceil(np.cumsum(p[:-1]) * 2.0**32)
     inside = np.count_nonzero(thresholds < 2.0**32)  # cumsum never falls, so these lead

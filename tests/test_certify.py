@@ -458,8 +458,7 @@ class TestThreshold:
     def test_bound_positive_at_minimal_fidelity_is_refused(self, monkeypatch):
         # no closed form in FAMILIES is positive at F = 1/d^2, so only a
         # replaced one reaches the guard: such a family has no threshold
-        povm_type, _, capacity, quoted = FAMILIES["erasure"]
-        monkeypatch.setitem(FAMILIES, "erasure", (povm_type, lambda d, p, fidelity: 1.0, capacity, quoted))
+        monkeypatch.setitem(FAMILIES, "erasure", FAMILIES["erasure"]._replace(closed_form=lambda d, p, fidelity: 1.0))
         with pytest.raises(InternalConsistencyError, match="^detected bound positive even at minimal fidelity$"):
             threshold_fidelity("erasure", 2)
 

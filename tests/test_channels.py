@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcapdet import (
@@ -18,13 +20,14 @@ from qcapdet.channels import (
     _channels,
     _depolarizing_channels,
     _erasure_channels,
+    _kraus_transfers,
     _pauli_channels,
     apply_transfers,
     transfer_input,
     weyl_unitaries,
 )
 from qcapdet.errors import DimensionMismatchError, InvalidStateError
-from qcapdet.linalg import partial_trace_system
+from qcapdet.linalg import density_spectra, partial_trace_system
 from randinst import random_channel, random_density, random_probe
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -221,9 +224,9 @@ class TestKrausArray:
     def test_array_equals_the_sequence(self):
         kraus = depolarizing_channel(2, 0.3).kraus
         ch = QuantumChannel(2, 2, np.array(kraus), "array")
-        assert isinstance(ch.kraus, tuple) and len(ch.kraus) == 4
+        assert ch.kraus.shape == (4, 2, 2)
         assert np.array_equal(ch.kraus, kraus)
-        assert np.array_equal(ch.transfer, QuantumChannel(2, 2, kraus).transfer)
+        assert np.array_equal(ch.transfer, QuantumChannel(2, 2, list(kraus)).transfer)
 
     def test_identity_array(self):
         ch = QuantumChannel(2, 2, np.array([np.eye(2)]))
@@ -287,12 +290,6 @@ class TestStackedBuild:
         grids[1, 0, 0] = 1.0  # the identity channel
         channels = [ch for block in _blocks(grids, size) for ch in _pauli_channels(block)]
         assert all(_same_channel(ch, pauli_channel(grid)) for ch, grid in zip(channels, grids))
-
-    def test_a_lone_channel_forms_its_transfer_on_first_use(self):
-        (lone,) = _depolarizing_channels(2, [0.1])
-        assert "transfer" not in vars(lone)
-        pair = _depolarizing_channels(2, [0.1, 0.2])
-        assert all("transfer" in vars(ch) for ch in pair)
 
     def test_a_corrupted_stack_names_its_first_failing_channel(self):
         stack = np.array([np.array(depolarizing_channel(2, p).kraus) for p in (0.0, 0.1, 0.2, 0.3, 0.4)])
@@ -386,19 +383,26 @@ class TestExtended:
                 assert_allclose(out, apply_extended_channel(ch, sigma, d), atol=1e-12)
 
 
+def corrupted(ch, corrupt):
+    """Swap in, after construction, the transfer matrix of ch's Kraus
+    operators K replaced by corrupt(K)."""
+    object.__setattr__(ch, "transfer", _kraus_transfers(corrupt(ch.kraus)[None])[0])  # bypass construction
+
+
 def corrupted_at_one(corrupt):
-    """Three d = 2 depolarizing channels, built one by one so that each forms
-    its transfer matrix on first use, with channel 1's Kraus operators
-    replaced by corrupt(K) after construction."""
+    """Three d = 2 depolarizing channels, built one by one, with channel 1's
+    Kraus operators K replaced by corrupt(K) in its transfer matrix."""
     channels = [depolarizing_channel(2, p) for p in (0.1, 0.2, 0.3)]
-    object.__setattr__(channels[1], "kraus", tuple(corrupt(k) for k in channels[1].kraus))  # bypass construction
+    corrupted(channels[1], corrupt)
     return channels
 
 
 class TestApplySequence:
     """apply_channel and apply_extended_channel over a sequence of channels
     sharing (dim_in, dim_out): one product of the stacked transfer matrices,
-    checked as one stack, each output as the channel alone gives it."""
+    each output as the channel alone gives it.  The state is checked; the
+    outputs are not, and a corrupted channel's output is first refused by
+    the stacked density_spectra check that takes S[E(rho)]."""
 
     def families(self, rng, d):
         """Channels of each family at input dim d, grouped by (dim_in, dim_out)."""
@@ -429,7 +433,7 @@ class TestApplySequence:
         assert np.array_equal(apply_channel([ch], rho), apply_channel(ch, rho)[None])
 
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_n_channels_make_two_decompositions(self, monkeypatch, n):
+    def test_n_channels_make_one_decomposition(self, monkeypatch, n):
         calls = []
 
         def counting(name, real):
@@ -442,7 +446,7 @@ class TestApplySequence:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         apply_channel(_depolarizing_channels(3, np.linspace(0.0, 1.0, n)), np.eye(3) / 3)
-        assert calls == ["eigvalsh", "eigvalsh"]  # the state, then the stack of outputs
+        assert calls == ["eigvalsh"]  # the state; the outputs are not checked
 
     def test_mixed_dims_are_refused_with_the_first_row(self):
         channels = [depolarizing_channel(2, 0.1), depolarizing_channel(2, 0.2), erasure_channel(2, 0.1)]
@@ -470,17 +474,18 @@ class TestApplySequence:
     )
     def test_a_corrupted_channel_is_named_by_its_row(self, corrupt, message):
         channels = corrupted_at_one(corrupt)
+        outputs = apply_channel(channels, np.eye(2) / 2)  # unchecked
         with pytest.raises(InvalidStateError, match=f"^{message}$") as raised:
-            apply_channel(channels, np.eye(2) / 2)
+            density_spectra(outputs)
         assert raised.value.row == 1
         with pytest.raises(InvalidStateError, match=f"^{message}$"):  # the message the channel alone gives
-            apply_channel(channels[1], np.eye(2) / 2)
+            density_spectra(apply_channel(channels[1], np.eye(2) / 2))
 
     def test_a_non_finite_row_is_named_after_an_earlier_failing_row(self):
         channels = corrupted_at_one(lambda k: 1.1 * k)
-        object.__setattr__(channels[2], "kraus", tuple(np.full_like(k, np.nan) for k in channels[2].kraus))
+        corrupted(channels[2], lambda k: np.full_like(k, np.nan))
         with pytest.raises(InvalidStateError, match="^density matrix trace") as raised:
-            apply_channel(channels, np.eye(2) / 2)
+            density_spectra(apply_channel(channels, np.eye(2) / 2))
         assert raised.value.row == 1
 
     def test_the_detector_names_a_non_finite_output(self):
@@ -489,6 +494,70 @@ class TestApplySequence:
         with pytest.raises(InvalidStateError, match=message) as raised:
             list(detector.certify_many(corrupted_at_one(lambda k: np.full_like(k, np.nan))))
         assert raised.value.row == 1
+
+
+def built_channels():
+    """(name, build) of every way a channel is built: QuantumChannel itself,
+    from a sequence and from an array, and one-point and stacked builds of
+    every family."""
+    grids = np.full((2, 3, 3), 1.0 / 9)
+    return [
+        ("QuantumChannel-sequence", lambda: QuantumChannel(2, 2, [np.eye(2)])),
+        ("QuantumChannel-array", lambda: QuantumChannel(2, 3, np.array(erasure_channel(2, 0.3).kraus))),
+        ("pauli", lambda: pauli_channel(grids[0])),
+        ("pauli-stack", lambda: _pauli_channels(grids)[1]),
+        ("depolarizing", lambda: depolarizing_channel(3, 0.1)),
+        ("depolarizing-stack", lambda: _depolarizing_channels(3, [0.1, 0.2])[1]),
+        ("erasure", lambda: erasure_channel(3, 0.1)),
+        ("erasure-stack", lambda: _erasure_channels(3, [0.1, 0.2])[1]),
+    ]
+
+
+class TestFrozen:
+    """A channel is a checked, frozen value: its Kraus operators are one
+    read-only (n, dim_out, dim_in) array and its transfer matrix, formed
+    when built, another."""
+
+    @pytest.mark.parametrize("build", [build for _, build in built_channels()], ids=[n for n, _ in built_channels()])
+    def test_in_place_writes_are_refused(self, build):
+        ch = build()
+        assert ch.kraus.ndim == 3 and ch.kraus.shape[1:] == (ch.dim_out, ch.dim_in)
+        assert "transfer" in vars(ch)  # formed when built, not on first use
+        assert np.array_equal(ch.transfer, _kraus_transfers(np.array(ch.kraus)[None])[0])
+        for write in (
+            lambda: ch.kraus.__setitem__((0, 0, 0), 0.0),
+            lambda: ch.kraus[0].__setitem__(Ellipsis, 0.0),
+            lambda: ch.transfer.__setitem__((0, 0), 0.0),
+            lambda: ch.transfer.__iadd__(1.0),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+
+    def test_the_constructor_keeps_its_own_copy(self):
+        kraus = np.array([np.eye(2, dtype=complex)])
+        ch = QuantumChannel(2, 2, kraus)
+        kraus[0, 0, 0] = 5.0  # the caller's array stays writable, and the channel does not see the write
+        assert np.array_equal(ch.kraus, [np.eye(2)])
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 4),
+        d_out=st.integers(2, 5),
+        extra=st.integers(0, 2),
+        rank=st.integers(1, 4),
+    )
+    def test_every_output_of_a_checked_channel_is_a_density_matrix(self, seed, d, d_out, extra, rank):
+        # the outputs are returned unchecked; no channel that can be built
+        # gives one that the check would refuse
+        rng = np.random.default_rng(seed)
+        n_kraus = -(-d // d_out) + extra  # at least d / d_out operators, so that the random isometry exists
+        channels = [random_channel(rng, d, d_out, n_kraus) for _ in range(3)]
+        sigma = random_probe(rng, d, rank=min(rank, d)).sigma
+        density_spectra(apply_extended_channel(channels, sigma, d))
+        for ch in channels:
+            density_spectra(apply_extended_channel(ch, sigma, d))
+            density_spectra(apply_channel(ch, random_density(rng, d, min(rank, d))))
 
 
 class TestIdentity:

@@ -6,7 +6,6 @@ config is written for on the result, in-process.  An exception escaping
 ``main`` is what a user would see as a traceback with exit code 1.
 """
 
-import atexit
 import contextlib
 import copy
 import io
@@ -16,16 +15,8 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from qcapdet.cli import main
-
-# Even with no example database, Hypothesis caches constants read from the
-# source files in its home directory once a test using it is collected; keep
-# that cache in a temporary directory, removed when the interpreter exits.
-_HOME = tempfile.TemporaryDirectory()
-atexit.register(_HOME.cleanup)
-set_hypothesis_home_dir(_HOME.name)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in sorted(ROOT.glob("configs/*.json"))}

@@ -120,7 +120,7 @@ class TestChecksStillFire:
         with pytest.raises(InvalidStateError):
             QuantumChannel(2, 2, (0.9 * np.eye(2),))
         ch = depolarizing_channel(2, 0.1)
-        object.__setattr__(ch, "kraus", tuple(1.1 * k for k in ch.kraus))  # bypass construction
+        object.__setattr__(ch, "transfer", 1.1**2 * ch.transfer)  # bypass construction: Kraus operators scaled by 1.1
         with pytest.raises(InvalidStateError):
             Detector(max_entangled_probe(2), bell_povm(2)).certify(ch)
 
@@ -226,7 +226,7 @@ class TestCertifyMany:
 
     def test_corrupted_channel_in_the_middle(self):
         channels = [depolarizing_channel(2, p) for p in (0.0, 0.05, 0.1, 0.15, 0.2)]
-        object.__setattr__(channels[2], "kraus", tuple(1.1 * k for k in channels[2].kraus))  # bypass construction
+        object.__setattr__(channels[2], "transfer", 1.1**2 * channels[2].transfer)  # bypass construction
         detector = Detector(isotropic_probe(2, 0.9), bell_povm(2))
         list(detector.certify_many(channels[:2] + channels[3:]))
         with pytest.raises(InvalidStateError, match=r"^channel 2 \(depolarizing\(d=2, p=0.1\)\): "):

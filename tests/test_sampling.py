@@ -156,6 +156,67 @@ class TestSampleOutcomes:
         assert record == sample_outcomes([0.5, 0.5], int(shots), 1)
 
 
+SEEDED = {
+    "ShotRecord": lambda seed: ShotRecord((5, 5), 10, seed),
+    "sample_outcomes": lambda seed: sample_outcomes([0.3, 0.7], 10, seed),
+    "uniform_stream": lambda seed: uniform_stream(seed, 4).tolist(),
+    "derive_subseed": lambda seed: derive_subseed(seed, 0),
+}
+
+
+class TestSeedRule:
+    """One seed rule wherever a seed is taken: an int of any size, which
+    the stream takes mod 2^64, or an integral float, read as an int;
+    anything else is a ValueError."""
+
+    @pytest.mark.parametrize("where", sorted(SEEDED))
+    @pytest.mark.parametrize(
+        "seed, shown",
+        [(1.5, "1.5"), (float("nan"), "nan"), (float("inf"), "inf"), ("7", "7"), (None, "None"), ([7], r"\[7\]")],
+    )
+    def test_a_seed_that_is_not_an_integer_is_refused(self, where, seed, shown):
+        with pytest.raises(ValueError, match=f"^seed {shown} must be an integer$"):
+            SEEDED[where](seed)
+
+    @pytest.mark.parametrize("where", sorted(SEEDED))
+    @pytest.mark.parametrize("seed", [7.0, np.float64(7.0), np.int64(7), np.uint64(7)])
+    def test_an_integral_seed_is_read_as_an_int(self, where, seed):
+        assert SEEDED[where](seed) == SEEDED[where](7)
+
+    @pytest.mark.parametrize("where", ["ShotRecord", "sample_outcomes"])
+    def test_a_record_keeps_the_seed_as_an_int(self, where):
+        record = SEEDED[where](7.0)
+        assert type(record.seed) is int and record.seed == 7
+        assert SEEDED[where](2**64 + 7).seed == 2**64 + 7  # recorded as given
+
+    @pytest.mark.parametrize("where", ["sample_outcomes", "uniform_stream", "derive_subseed"])
+    def test_an_int_of_any_size_is_taken_mod_2_64(self, where):
+        draw = lambda seed: getattr(SEEDED[where](seed), "counts", SEEDED[where](seed))
+        assert draw(2**64 + 7) == draw(7) and draw(-1) == draw(2**64 - 1) and draw(7 - 2**200) == draw(7)
+
+    def test_a_float_seed_no_longer_builds_a_record(self):
+        with pytest.raises(ValueError, match="^seed 1.5 must be an integer$"):
+            ShotRecord((5, 5), 10.0, 1.5)
+
+    @pytest.mark.parametrize(
+        "shots, message",
+        [
+            (10.5, "shot count 10.5 must be an integer"),
+            (float("inf"), "shot count inf must be an integer"),
+            (float("nan"), "shot count nan must be at least 1"),
+            (0.5, "shot count 0.5 must be at least 1"),
+        ],
+    )
+    def test_a_record_takes_the_shot_count_rule(self, shots, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ShotRecord((5, 5), shots, 1)
+
+    @pytest.mark.parametrize("shots", [10.0, np.float64(10.0), np.int64(10)])
+    def test_a_record_keeps_an_integral_count_as_an_int(self, shots):
+        record = ShotRecord((5, 5), shots, 1)
+        assert type(record.shots) is int and record == ShotRecord((5, 5), 10, 1)
+
+
 def random_distribution(rng, n, zeros=0):
     p = rng.random(n) ** 3
     p[rng.choice(n, size=zeros, replace=False)] = 0.0

@@ -372,10 +372,10 @@ class TestPerPointChecksAtALaterPoint:
 
 
 class TestSweepDecompositionCount:
-    """An n-point F sweep in chunks of c points makes 5 + ceil(n/c)
-    decompositions: the first point's Detector (1) and channel half (4), and
+    """An n-point F sweep in chunks of c points makes 4 + ceil(n/c)
+    decompositions: the first point's Detector (1) and channel half (3), and
     one stacked joint-output check per chunk.  A fresh Detector per point
-    makes 6 per point."""
+    makes 5 per point."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -393,45 +393,46 @@ class TestSweepDecompositionCount:
         return calls
 
     @pytest.mark.parametrize("n", [2, 10])
-    def test_sweep_makes_5_plus_chunks(self, count, n):
+    def test_sweep_makes_4_plus_chunks(self, count, n):
         spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=n)
         run_sweep(spec)
-        assert len(count) == 5 + 1  # c = CERTIFY_CHUNK // 81 = 202 points per chunk at d = 3
+        assert len(count) == 4 + 1  # c = CERTIFY_CHUNK // 81 = 202 points per chunk at d = 3
 
     @pytest.mark.parametrize("c", [1, 3, 4])
     def test_one_decomposition_per_chunk(self, count, monkeypatch, c):
         monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", c * 81)  # c points of a d = 3 Bell sweep
         spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=10)
         run_sweep(spec)
-        assert len(count) == 5 + math.ceil(10 / c)
+        assert len(count) == 4 + math.ceil(10 / c)
 
     @pytest.mark.parametrize("n", [2, 10])
-    def test_fresh_detectors_make_6n(self, count, n):
+    def test_fresh_detectors_make_5n(self, count, n):
         spec = f_sweep({"type": "depolarizing", "d": 3, "p": 0.05}, 3, {"type": "bell"}, steps=n)
         fresh_rows(spec)
-        assert len(count) == 6 * n
+        assert len(count) == 5 * n
 
-    def test_erasure_sweep_makes_5_plus_chunks(self, count):
+    def test_erasure_sweep_makes_4_plus_chunks(self, count):
         spec = f_sweep({"type": "erasure", "d": 2, "p": 0.2}, 2, {"type": "erasure_adapted"}, steps=6, optimize=True)
         run_sweep(spec)
-        assert len(count) == 5 + 1
+        assert len(count) == 4 + 1
 
 
 class TestNoiseSweepDecompositionCount:
-    """An n-point p sweep in chunks of c points makes 1 + 5 ceil(n/c)
-    decompositions: the Detector's one, then per chunk the state and the
-    stacked E(rho) checked inside its one apply_channel call, S[E(rho)],
-    the purified oracle and the joint-output check."""
+    """An n-point p sweep in chunks of c points makes 1 + 4 ceil(n/c)
+    decompositions: the Detector's one, then per chunk the state checked
+    inside its one apply_channel call, the stacked E(rho) checked and
+    decomposed once for S[E(rho)], the purified oracle and the joint-output
+    check."""
 
     count = TestSweepDecompositionCount.count  # the same eigh and eigvalsh counter
 
     @pytest.mark.parametrize("family, povm, dim", [("depolarizing", "bell", 9), ("erasure", "erasure_adapted", 12)])
     @pytest.mark.parametrize("c", [1, 3, 4])
-    def test_five_per_chunk(self, count, monkeypatch, family, povm, dim, c):
+    def test_four_per_chunk(self, count, monkeypatch, family, povm, dim, c):
         monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", c * dim * dim)  # c points of a d = 3 sweep
         probe = {"type": "isotropic", "d": 3, "F": 0.95}
         run_sweep(SweepSpec({"type": family, "d": 3}, probe, {"type": povm}, "p", 0.0, 0.1, 10))
-        assert len(count) == 1 + 5 * math.ceil(10 / c)
+        assert len(count) == 1 + 4 * math.ceil(10 / c)
 
 
 class TestOneStatisticsPassPerChunk:

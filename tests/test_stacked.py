@@ -336,10 +336,10 @@ class TestCoarseGrain:
 
 class TestDecompositionCount:
     """Each decomposition runs once: building a probe makes none; Detector
-    makes one eigh of rho^T; a certify call makes the two checks inside
-    apply_channel (the state, then its output), S[E(rho)], the joint output
+    makes one eigh of rho^T; a certify call makes four: the check of the
+    state inside apply_channel, S[E(rho)] with its check, the joint output
     check and the purified oracle.  certify_many of N channels in one chunk
-    makes the same five: one apply_channel call takes every E(rho), and
+    makes the same four: one apply_channel call takes every E(rho), and
     each other decomposition is one stacked eigvalsh."""
 
     @pytest.fixture
@@ -367,17 +367,17 @@ class TestDecompositionCount:
         isotropic_probe(3, 0.9)
         assert count == []
 
-    def test_certify_makes_five(self, count):
+    def test_certify_makes_four(self, count):
         detector = Detector(isotropic_probe(3, 0.9), bell_povm(3))
         ch = depolarizing_channel(3, 0.1)
         count.clear()
         detector.certify(ch)
-        assert len(count) == 5
+        assert len(count) == 4
 
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_certify_many_makes_five_per_chunk(self, count, n):
+    def test_certify_many_makes_four_per_chunk(self, count, n):
         detector = Detector(isotropic_probe(3, 0.9), bell_povm(3))
         channels = [depolarizing_channel(3, 0.1 * k) for k in range(n)]
         count.clear()
         list(detector.certify_many(channels))
-        assert len(count) == 5
+        assert len(count) == 4

@@ -54,11 +54,11 @@ def channels_with_an_erasure_last():
 
 
 def channels_with_a_corrupted_last():
-    """Three depolarizing channels, the last with its Kraus operators scaled
-    after construction, so that only the output check of the chunk's one
-    apply_channel call sees it."""
+    """Three depolarizing channels, the last with its transfer matrix
+    swapped after construction for that of its Kraus operators scaled by
+    1.1, so that only the check of the chunk's stacked E(rho) sees it."""
     channels = [depolarizing_channel(2, p) for p in (0.1, 0.2, 0.3)]
-    object.__setattr__(channels[2], "kraus", tuple(1.1 * k for k in channels[2].kraus))  # bypass construction
+    object.__setattr__(channels[2], "transfer", 1.1**2 * channels[2].transfer)  # bypass construction
     return channels
 
 
