@@ -363,8 +363,10 @@ class Detector:
             raise renamed from exc
         _check_chain(names, qdet, oracle)
         rows = zip(points, qdet.tolist(), prob_entropy.tolist(), log_tp.tolist(), groupings, probabilities)
-        return [
-            CertificationResult(
+        results = []
+        for (_, probe, half, t), q, h, log, grouping, p in rows:
+            result = object.__new__(CertificationResult)  # the fields in one step, not one frozen setattr each
+            vars(result).update(
                 qdet=q,
                 output_entropy=half[1],
                 prob_entropy=h,
@@ -379,8 +381,8 @@ class Detector:
                 channel_label=half[0].label,
                 povm_label=self.povm.name,
             )
-            for (_, probe, half, t), q, h, log, grouping, p in rows
-        ]
+            results.append(result)
+        return results
 
 
 def _check_chain(names: list[str], qdet: np.ndarray, oracle: np.ndarray) -> None:
@@ -417,44 +419,67 @@ def hashing_bound(d: int, p: float) -> float:
     return math.log2(d) - binary_entropy(p) - p * math.log2(d * d - 1)
 
 
-def depolarizing_isotropic_qdet(d: int, p: float, fidelity: float) -> float:
-    """Closed form for a depolarizing channel with an isotropic probe.
+def _checked(what: str, values, low, high) -> np.ndarray:
+    """A value, or an array of them, each checked in order by check_within,
+    as a float array."""
+    for value in np.ravel(values).tolist():
+        check_within(what, value, low, high)
+    return np.asarray(values, dtype=float)
+
+
+def _binary_entropies(x: np.ndarray) -> np.ndarray:
+    """binary_entropy of each entry of an array of checked arguments in [0, 1]."""
+    return probability_entropies(np.stack([x, 1.0 - x], axis=-1).reshape(-1, 2)).reshape(x.shape)
+
+
+def _value(x: np.ndarray):
+    """A float for a 0-d result, the array otherwise."""
+    return float(x) if x.ndim == 0 else x
+
+
+def depolarizing_isotropic_qdet(d: int, p, fidelity):
+    """Closed form for a depolarizing channel with an isotropic probe, at
+    one (p, fidelity) or at each pair of two arrays that broadcast: a float
+    for scalars, an array otherwise, each entry as for its pair alone.
 
     The Bell statistics see an effective error weight
     p_eff = (d^2 [1 - F(1-p)] + F - p - 1) / (d^2 - 1), which reduces to p at
     perfect fidelity.
     """
     check_dimension(d)
-    check_within("depolarizing strength", p, 0, 1)
-    check_within("fidelity", fidelity, 1.0 / d**2, 1)
+    p = _checked("depolarizing strength", p, 0, 1)
+    fidelity = _checked("fidelity", fidelity, 1.0 / d**2, 1)
     p_eff = (d * d * (1.0 - fidelity * (1.0 - p)) + fidelity - p - 1.0) / (d * d - 1.0)
-    p_eff = min(max(p_eff, 0.0), 1.0)
-    return math.log2(d) - binary_entropy(p_eff) - p_eff * math.log2(d * d - 1)
+    p_eff = np.minimum(np.maximum(p_eff, 0.0), 1.0)
+    return _value(math.log2(d) - _binary_entropies(p_eff) - p_eff * math.log2(d * d - 1))
 
 
-def erasure_qdet_closed_form(d: int, p: float, fidelity: float) -> float:
+def erasure_qdet_closed_form(d: int, p, fidelity):
     """Closed form for an erasure channel with an isotropic probe and the
-    flag-adapted measurement; equals the exact capacity expression at F = 1."""
+    flag-adapted measurement, at one (p, fidelity) or at each pair of two
+    arrays that broadcast, as :func:`depolarizing_isotropic_qdet`; equals
+    the exact capacity expression at F = 1."""
     check_dimension(d)
-    check_within("erasure probability", p, 0, 1)
-    check_within("fidelity", fidelity, 1.0 / d**2, 1)
-    penalty = binary_entropy(fidelity) + (1.0 - fidelity) * math.log2(d * d - 1)
-    return (1.0 - 2.0 * p) * math.log2(d) - (1.0 - p) * penalty
+    p = _checked("erasure probability", p, 0, 1)
+    fidelity = _checked("fidelity", fidelity, 1.0 / d**2, 1)
+    penalty = _binary_entropies(fidelity) + (1.0 - fidelity) * math.log2(d * d - 1)
+    return _value((1.0 - 2.0 * p) * math.log2(d) - (1.0 - p) * penalty)
 
 
-def erasure_exact_capacity(d: int, p: float) -> float:
-    """(1 - 2p) log2 d for p <= 1/2, zero beyond."""
+def erasure_exact_capacity(d: int, p):
+    """(1 - 2p) log2 d for p <= 1/2, zero beyond; at one p, as a float, or
+    at each entry of an array."""
     check_dimension(d)
-    check_within("erasure probability", p, 0, 1)
-    return max(0.0, (1.0 - 2.0 * p)) * math.log2(d)
+    p = _checked("erasure probability", p, 0, 1)
+    return _value(np.maximum(0.0, (1.0 - 2.0 * p)) * math.log2(d))
 
 
 class _Family(NamedTuple):
     """What is known of a channel family."""
 
     povm: str  # the POVM type its closed form holds for, with an isotropic probe
-    closed_form: Callable[[int, float, float], float]  # qdet(d, p, F)
-    capacity: Callable[[int, float], float] | None  # exact Q(d, p), where known
+    closed_form: Callable  # qdet(d, p, F), at one (p, F) or at arrays of them
+    capacity: Callable | None  # exact Q(d, p), at one p or an array of them, where known
     threshold: float  # published fidelity threshold
 
 

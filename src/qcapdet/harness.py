@@ -32,6 +32,7 @@ from .errors import CertificationError, ConfigError
 from .measurement import Povm, bell_povm, coarse_grain, erasure_povm
 from .probes import (
     BipartiteProbeState,
+    _isotropic_probes,
     bell_diagonal_probe,
     custom_probe,
     isotropic_probe,
@@ -116,9 +117,10 @@ _CHANNELS = {
         [("dim_in", integer), ("dim_out", integer), ("kraus", listed(complex_matrix)), ("label", text, "kraus")],
     ),
 }
-# The stacked builder of each channel type with a 'p' field: its channels at a
-# list of p, built and checked as one stack.
-_CHANNEL_STACKS = {"depolarizing": _depolarizing_channels, "erasure": _erasure_channels}
+# The stacked builder of each section type with a swept field ('p' of a
+# channel, 'F' of a probe): its objects at a list of values, built and checked
+# as one stack.
+_STACKS = {"depolarizing": _depolarizing_channels, "erasure": _erasure_channels, "isotropic": _isotropic_probes}
 _PROBES = {
     "max_entangled": (max_entangled_probe, [("d", dimension)]),
     "isotropic": (isotropic_probe, [("d", dimension), ("F", real)]),
@@ -268,13 +270,14 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     in the config but must be a field of its type.  The swept section is
     built at the grid's first value alone, then in blocks that end where
     the detector's chunks end, each when its chunk is pulled, so that no
-    more than a chunk's points are built ahead: a 'p' sweep's block as one
-    checked stack by the family's stacked builder, an 'F' sweep's probes
-    one by one.  One detector on the built probe and POVM certifies every
-    point in one call: certify_many of the channels for a 'p' sweep,
-    certify_probes of the probes on the one channel for an 'F' sweep, which
-    checks every probe's marginal against the first's.  Row i's finite-shot
-    estimate uses its own point's t and draws with derive_subseed(seed, i)."""
+    more than a chunk's points are built ahead, and each as one checked
+    stack by its type's stacked builder.  One detector on the built probe
+    and POVM certifies every point in one call: certify_many of the
+    channels for a 'p' sweep, certify_probes of the probes on the one
+    channel for an 'F' sweep, which checks every probe's marginal against
+    the first's.  Row i's finite-shot estimate uses its own point's t and
+    draws with derive_subseed(seed, i).  Each closed-form column, once every
+    point is certified, comes from one call over the whole grid."""
     grid = [float(value) for value in np.linspace(spec.start, spec.stop, spec.steps)]
     swept = _SWEEP_VARIABLES[spec.variable][0]
     sections = {"channel": (_CHANNELS, spec.channel), "probe": (_PROBES, spec.probe), "povm": (_POVMS, spec.povm)}
@@ -284,16 +287,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     }
     if spec.variable not in read[swept][1]:
         raise ConfigError(f"sweeping {spec.variable!r} needs a {swept} type with a {spec.variable!r} field")
-    fixed = {variable: read[where][1].get(variable, value) for variable, (where, value) in _SWEEP_VARIABLES.items()}
-    family = FAMILIES.get(spec.channel["type"])
-    isotropic = spec.probe["type"] in ("isotropic", "max_entangled")
-    closed_form = family.closed_form if family and family.povm == spec.povm["type"] and isotropic else None
-    capacity = family.capacity if family else None
-    make, args = read[swept]
-    if spec.variable == "p":
-        build = lambda values: _make(swept, _CHANNEL_STACKS[spec.channel["type"]], {**args, "p": values})
-    else:
-        build = lambda values: [_make(swept, make, {**args, "F": value}) for value in values]
+    stack, args = _STACKS[sections[swept][1]["type"]], read[swept][1]
+    build = lambda values: _make(swept, stack, {**args, spec.variable: values})
     built = {where: build(grid[:1])[0] if where == swept else _make(where, *read[where]) for where in ("channel", "probe")}
     d = built["probe"].d
     detector = Detector(built["probe"], _make("povm", *read["povm"], d))
@@ -304,20 +299,22 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         results = detector.certify_many(points, spec.optimize)
     else:
         results = detector.certify_probes(points, built["channel"], spec.optimize)
-    rows = []
-    for i, (value, result) in enumerate(zip(grid, results)):
-        seed = derive_subseed(spec.seed, i) if spec.shots > 0 else 0  # exact points draw nothing
-        estimate, _ = _estimate(result, spec.shots, seed)
-        at = {**fixed, spec.variable: value}  # the row's noise p and fidelity F
-        row = {spec.variable: value, "qdet": result.qdet}
-        if closed_form is not None:
-            row["qdet_closed"] = closed_form(d, at["p"], at["F"])
-        if capacity is not None:
-            row["q_exact"] = capacity(d, at["p"])
-        if spec.shots > 0:
-            row |= {"qdet_estimate": estimate, "shots": spec.shots}
-        rows.append(row)
-    return rows
+    columns = {spec.variable: grid, "qdet": []}
+    estimates = []
+    for i, result in enumerate(results):
+        columns["qdet"].append(result.qdet)
+        if spec.shots > 0:  # exact points draw nothing
+            estimates.append(_estimate(result, spec.shots, derive_subseed(spec.seed, i))[0])
+    fixed = {variable: read[where][1].get(variable, value) for variable, (where, value) in _SWEEP_VARIABLES.items()}
+    at = {variable: np.full(len(grid), value) for variable, value in fixed.items()} | {spec.variable: np.array(grid)}
+    family = FAMILIES.get(spec.channel["type"])
+    if family and family.povm == spec.povm["type"] and spec.probe["type"] in ("isotropic", "max_entangled"):
+        columns["qdet_closed"] = family.closed_form(d, at["p"], at["F"]).tolist()
+    if family and family.capacity:
+        columns["q_exact"] = family.capacity(d, at["p"]).tolist()
+    if spec.shots > 0:
+        columns |= {"qdet_estimate": estimates, "shots": [spec.shots] * len(grid)}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 FIGURE_FIDELITIES = (1.0, 0.98, 0.95, 0.90)
@@ -337,7 +334,7 @@ def figure_rows(which: int, steps: int = 101) -> tuple[list[str], list[dict]]:
     family, stop = FIGURES[which]
     capacity = FAMILIES[family].capacity
     grid = [float(p) for p in np.linspace(0.0, stop, steps)]
-    channels = _CHANNEL_STACKS[family](2, grid)
+    channels = _STACKS[family](2, grid)
     povm = _POVMS[FAMILIES[family].povm][0](2)
     rows = [{"p": p} | ({"q_exact": capacity(2, p)} if capacity else {}) for p in grid]
     for f in FIGURE_FIDELITIES:

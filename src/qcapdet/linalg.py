@@ -161,7 +161,7 @@ def reduce_rows(reduce, keys: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
     if keys.min() == keys.max():
         return reduce(keys[0], *stacks)
     out = np.empty(len(keys))
-    for key in np.unique(keys):
+    for key in sorted(set(keys.tolist())):  # not np.unique, whose first call imports numpy.ma
         rows = keys == key
         out[rows] = reduce(key, *(x[rows] for x in stacks))
     return out

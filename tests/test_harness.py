@@ -379,7 +379,7 @@ class TestChunkedSweep:
     def test_error_names_the_grid_index(self, monkeypatch):
         # chunks of 3 points, so grid point 7 is point 1 of the third chunk;
         # the stacked build forms its transfer matrix, so that is corrupted
-        build = harness._CHANNEL_STACKS["depolarizing"]
+        build = harness._STACKS["depolarizing"]
         built = []
 
         def building(d, ps):
@@ -389,7 +389,7 @@ class TestChunkedSweep:
                 vars(built[7])["transfer"] = 1.1**2 * built[7].transfer  # bypass construction
             return channels
 
-        monkeypatch.setitem(harness._CHANNEL_STACKS, "depolarizing", building)
+        monkeypatch.setitem(harness._STACKS, "depolarizing", building)
         monkeypatch.setattr(certify_module, "CERTIFY_CHUNK", 3 * 16)
         doc = {**DEPOL_SWEEP, "sweep": {**DEPOL_SWEEP["sweep"], "steps": 8}}
         with pytest.raises(InvalidStateError, match=r"^channel 7 \(depolarizing\(d=2, p=0.25\)\): "):

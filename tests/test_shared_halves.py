@@ -304,17 +304,17 @@ class TestPerPointChecksAtALaterPoint:
     STEPS = 5
 
     def corrupt_point_3(self, monkeypatch, corrupt):
-        make, fields = harness._PROBES["isotropic"]
+        build = harness._STACKS["isotropic"]
         built = []
 
-        def building(d, fidelity):
-            probe = make(d, fidelity)
-            built.append(probe)
-            if len(built) == 4:
-                object.__setattr__(probe, "sigma", corrupt(probe.sigma))  # bypass construction
-            return probe
+        def building(d, fidelities):
+            probes = build(d, fidelities)
+            built.extend(probes)
+            if len(built) - len(probes) <= 3 < len(built):  # point 3 is in this block
+                object.__setattr__(built[3], "sigma", corrupt(built[3].sigma))  # bypass construction
+            return probes
 
-        monkeypatch.setitem(harness._PROBES, "isotropic", (building, fields))
+        monkeypatch.setitem(harness._STACKS, "isotropic", building)
         return built
 
     def sweep(self):
