@@ -32,6 +32,7 @@ from .errors import (
 )
 from .linalg import (
     RECON_TOL,
+    _frozen,
     binary_entropy,
     check_dimension,
     check_rows,
@@ -60,7 +61,8 @@ CERTIFY_CHUNK = 1 << 14  # complex entries of one stacked pass's joint output
 
 @dataclass(frozen=True)
 class CertificationResult:
-    """Detected capacity bound and every ingredient that produced it."""
+    """Detected capacity bound and every ingredient that produced it; a
+    result from a Detector keeps its probabilities and weights read-only."""
 
     qdet: float
     output_entropy: float  # S[E(rho)], bits
@@ -223,7 +225,8 @@ class Detector:
     Built and checked once, from the probe's sigma alone: the marginal
     rho = Tr_ref[sigma]; S(rho), the rank and pseudo-inverse of rho^T and the
     purification |sqrt(rho^T)>>, all from one eigendecomposition of rho^T that
-    checks rho; and t, one contraction of sigma with pinv(rho^T), with its sum rule.
+    checks rho; and t, one contraction of sigma with pinv(rho^T), with its sum
+    rule; each array of this half is kept read-only.
     :meth:`certify_many` evaluates channels on this probe, and
     :meth:`certify_probes` probes sharing its marginal on one channel.
     Both take any iterable and yield results lazily, one chunk at a time:
@@ -237,19 +240,24 @@ class Detector:
 
     def __init__(self, probe: BipartiteProbeState, povm: Povm):
         d = probe.d
-        self.probe = probe
-        self.povm = povm
-        self.rho = partial_trace_reference(probe.sigma, d, d)
-        evals, evecs = density_spectra(self.rho.T, vectors=True)  # checks rho^T, so rho, as a density matrix
+        rho = partial_trace_reference(probe.sigma, d, d)
+        evals, evecs = density_spectra(rho.T, vectors=True)  # checks rho^T, so rho, as a density matrix
         spectrum = np.clip(evals, 0.0, None)
         keep, inverse = rank_cutoff(evals)
-        self.input_entropy = shannon_entropy(spectrum)  # S(rho), bits
-        self.rank = int(keep.sum())
-        self.rho_t_pinv = (evecs * inverse) @ evecs.conj().T
+        rank, rho_t_pinv = int(keep.sum()), (evecs * inverse) @ evecs.conj().T
         psi = double_ket((evecs * np.sqrt(spectrum)) @ evecs.conj().T)  # |sqrt(rho^T)>>
-        self.purification_pairs = transfer_input(np.outer(psi, psi.conj()), d, d)  # as transfer matrices read it
-        self.t = outcome_weights(probe.sigma, povm, self.rho_t_pinv, self.rank)
-        self.probe_pairs = transfer_input(probe.sigma, d, d)  # sigma as every channel's transfer matrix reads it
+        _frozen(  # the cached half, read-only
+            self,
+            probe=probe,
+            povm=povm,
+            rho=rho,
+            input_entropy=shannon_entropy(spectrum),  # S(rho), bits
+            rank=rank,
+            rho_t_pinv=rho_t_pinv,
+            purification_pairs=transfer_input(np.outer(psi, psi.conj()), d, d),  # as transfer matrices read it
+            t=outcome_weights(probe.sigma, povm, rho_t_pinv, rank),
+            probe_pairs=transfer_input(probe.sigma, d, d),  # sigma as every channel's transfer matrix reads it
+        )
 
     def certify(self, ch: QuantumChannel, optimize: bool = False) -> CertificationResult:
         """Bound for one channel; ``optimize`` searches outcome coarse-grainings."""
@@ -363,26 +371,15 @@ class Detector:
             raise renamed from exc
         _check_chain(names, qdet, oracle)
         rows = zip(points, qdet.tolist(), prob_entropy.tolist(), log_tp.tolist(), groupings, probabilities)
-        results = []
-        for (_, probe, half, t), q, h, log, grouping, p in rows:
-            result = object.__new__(CertificationResult)  # the fields in one step, not one frozen setattr each
-            vars(result).update(
-                qdet=q,
-                output_entropy=half[1],
-                prob_entropy=h,
-                log_tp=log,
-                input_entropy=self.input_entropy,
-                private_lower=q,
-                ea_classical_lower=self.input_entropy + q,
-                grouping=grouping,
-                probabilities=p,
-                weights=t,
-                probe_label=probe.label,
-                channel_label=half[0].label,
-                povm_label=self.povm.name,
+        return [
+            _frozen(
+                object.__new__(CertificationResult),  # the fields in one step, not one frozen setattr each
+                qdet=q, output_entropy=half[1], prob_entropy=h, log_tp=log, input_entropy=self.input_entropy,
+                private_lower=q, ea_classical_lower=self.input_entropy + q, grouping=grouping, probabilities=p,
+                weights=t, probe_label=probe.label, channel_label=half[0].label, povm_label=self.povm.name,
             )
-            results.append(result)
-        return results
+            for (_, probe, half, t), q, h, log, grouping, p in rows
+        ]
 
 
 def _check_chain(names: list[str], qdet: np.ndarray, oracle: np.ndarray) -> None:
@@ -419,14 +416,6 @@ def hashing_bound(d: int, p: float) -> float:
     return math.log2(d) - binary_entropy(p) - p * math.log2(d * d - 1)
 
 
-def _checked(what: str, values, low, high) -> np.ndarray:
-    """A value, or an array of them, each checked in order by check_within,
-    as a float array."""
-    for value in np.ravel(values).tolist():
-        check_within(what, value, low, high)
-    return np.asarray(values, dtype=float)
-
-
 def _binary_entropies(x: np.ndarray) -> np.ndarray:
     """binary_entropy of each entry of an array of checked arguments in [0, 1]."""
     return probability_entropies(np.stack([x, 1.0 - x], axis=-1).reshape(-1, 2)).reshape(x.shape)
@@ -447,8 +436,9 @@ def depolarizing_isotropic_qdet(d: int, p, fidelity):
     perfect fidelity.
     """
     check_dimension(d)
-    p = _checked("depolarizing strength", p, 0, 1)
-    fidelity = _checked("fidelity", fidelity, 1.0 / d**2, 1)
+    check_within("depolarizing strength", p, 0, 1)
+    check_within("fidelity", fidelity, 1.0 / d**2, 1)
+    p, fidelity = np.asarray(p, dtype=float), np.asarray(fidelity, dtype=float)
     p_eff = (d * d * (1.0 - fidelity * (1.0 - p)) + fidelity - p - 1.0) / (d * d - 1.0)
     p_eff = np.minimum(np.maximum(p_eff, 0.0), 1.0)
     return _value(math.log2(d) - _binary_entropies(p_eff) - p_eff * math.log2(d * d - 1))
@@ -460,8 +450,9 @@ def erasure_qdet_closed_form(d: int, p, fidelity):
     arrays that broadcast, as :func:`depolarizing_isotropic_qdet`; equals
     the exact capacity expression at F = 1."""
     check_dimension(d)
-    p = _checked("erasure probability", p, 0, 1)
-    fidelity = _checked("fidelity", fidelity, 1.0 / d**2, 1)
+    check_within("erasure probability", p, 0, 1)
+    check_within("fidelity", fidelity, 1.0 / d**2, 1)
+    p, fidelity = np.asarray(p, dtype=float), np.asarray(fidelity, dtype=float)
     penalty = _binary_entropies(fidelity) + (1.0 - fidelity) * math.log2(d * d - 1)
     return _value((1.0 - 2.0 * p) * math.log2(d) - (1.0 - p) * penalty)
 
@@ -470,8 +461,8 @@ def erasure_exact_capacity(d: int, p):
     """(1 - 2p) log2 d for p <= 1/2, zero beyond; at one p, as a float, or
     at each entry of an array."""
     check_dimension(d)
-    p = _checked("erasure probability", p, 0, 1)
-    return _value(np.maximum(0.0, (1.0 - 2.0 * p)) * math.log2(d))
+    check_within("erasure probability", p, 0, 1)
+    return _value(np.maximum(0.0, (1.0 - 2.0 * np.asarray(p, dtype=float))) * math.log2(d))
 
 
 class _Family(NamedTuple):

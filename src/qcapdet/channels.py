@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .linalg import PROB_TOL, TP_TOL, check_dimension, check_rows, check_within, validate_density_matrix
+from .linalg import PROB_TOL, TP_TOL, _frozen, check_dimension, check_rows, check_within, validate_density_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,7 @@ class QuantumChannel:
         except ValueError as exc:  # ragged: the operators differ in shape
             raise DimensionMismatchError(f"Kraus operators do not stack: {exc}") from exc
         (built,) = _channels(self.dim_in, self.dim_out, stack[None], [self.label])
-        vars(self).update(vars(built))
+        _frozen(self, **vars(built))
 
 
 def _check_kraus(stack: np.ndarray, dim_in: int, dim_out: int) -> None:
@@ -80,18 +80,14 @@ def _kraus_transfers(stack: np.ndarray) -> np.ndarray:
 def _channels(dim_in: int, dim_out: int, stack: np.ndarray, labels: list[str]) -> list[QuantumChannel]:
     """One channel per Kraus set of a fresh stack (N, n, dim_out, dim_in),
     each with its label, the one way a channel is built: the stack is checked
-    by one _check_kraus call and frozen, and each channel is given its slice
-    of it and its transfer matrix from one _kraus_transfers call, read-only."""
+    by one _check_kraus call, and each channel is given its slice of it and
+    its transfer matrix from one _kraus_transfers call, read-only."""
     _check_kraus(stack, dim_in, dim_out)
     transfers = _kraus_transfers(stack)
-    stack.setflags(write=False)
-    transfers.setflags(write=False)
-    channels = []
-    for kraus, transfer, label in zip(stack, transfers, labels):
-        ch = object.__new__(QuantumChannel)  # checked above, as one stack
-        vars(ch).update(dim_in=dim_in, dim_out=dim_out, kraus=kraus, label=label, transfer=transfer)
-        channels.append(ch)
-    return channels
+    return [
+        _frozen(object.__new__(QuantumChannel), dim_in=dim_in, dim_out=dim_out, kraus=k, label=label, transfer=t)
+        for k, t, label in zip(stack, transfers, labels)  # checked above, as one stack
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +138,7 @@ def _depolarizing_channels(d: int, ps) -> list[QuantumChannel]:
     Weyl grid: the identity with weight 1-p, every other Weyl unitary with
     weight p/(d^2-1)."""
     check_dimension(d)
-    for p in ps:
-        check_within("depolarizing strength", p, 0, 1)
+    check_within("depolarizing strength", ps, 0, 1)
     strengths = np.array(ps, dtype=float)
     grids = np.repeat(strengths / (d * d - 1), d * d).reshape(-1, d, d)
     grids[:, 0, 0] = 1.0 - strengths
@@ -160,8 +155,7 @@ def _erasure_channels(d: int, ps) -> list[QuantumChannel]:
     replaced with an orthogonal flag state with probability p.  The output
     dimension is d+1; the flag is the output basis state at index d."""
     check_dimension(d)
-    for p in ps:
-        check_within("erasure probability", p, 0, 1)
+    check_within("erasure probability", ps, 0, 1)
     erased = np.array(ps, dtype=float)
     # Per channel: the embedding, then one flag operator per input level.
     kraus = np.zeros((len(erased), d + 1, d + 1, d), dtype=complex)

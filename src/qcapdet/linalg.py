@@ -43,9 +43,23 @@ def check_dimension(d) -> None:
 
 
 def check_within(what: str, x, low, high) -> None:
-    """Refuse a value outside [low, high]; NaN fails too."""
-    if not low <= x <= high:
-        raise ValueError(f"{what} {x} outside [{low}, {high}]")
+    """Refuse a value, or the first entry in order of an array of them,
+    outside [low, high]; NaN fails too."""
+    values = np.asarray(x)
+    for value in values.reshape(-1).tolist() if values.ndim else (x,):  # Python's comparisons, which refuse complex
+        if not low <= value <= high:
+            raise ValueError(f"{what} {value} outside [{low}, {high}]")
+
+
+def _frozen(obj, **fields):
+    """Store a checked value's fields in one step, past a frozen dataclass's
+    setattr, each array among them made read-only so that what was checked
+    cannot change; returns ``obj``, the value."""
+    for value in fields.values():
+        if type(value) is np.ndarray:  # cheaper than isinstance; the program stores plain arrays only
+            value.setflags(write=False)
+    vars(obj).update(fields)
+    return obj
 
 
 def check_rows(error: type, faults, messages: Sequence, names: Sequence[str] = ()) -> None:
@@ -169,18 +183,19 @@ def reduce_rows(reduce, keys: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
 
 def probability_entropies(p: np.ndarray) -> np.ndarray:
     """Entropy, in bits, of each row of a stack (N, n) of nonnegative
-    weights, unchecked: -sum x log2 x over the row's positive entries, in
-    order, so that neither its zero entries nor the rows around it change
-    its bits; the one formula for every Shannon and spectral entropy."""
+    weights, unchecked: 0 - sum x log2 x (so +0.0, not -0.0, at zero) over
+    the row's positive entries, in order, so that neither its zero entries
+    nor the rows around it change its bits; the one formula for every
+    Shannon and spectral entropy."""
     if p.min() > 0.0:
-        return -(p * np.log2(p)).sum(axis=-1)
+        return 0.0 - (p * np.log2(p)).sum(axis=-1)
     positive = p > 0.0
     if len(p) == 1:  # one point's row, compacted directly: a third of the cost of grouping rows by count
         x = p[positive]
-        return -(x * np.log2(x)).sum(keepdims=True)
+        return 0.0 - (x * np.log2(x)).sum(keepdims=True)
     terms = p * np.log2(np.where(positive, p, 1.0))
     count = np.count_nonzero(positive, axis=-1)
-    return -reduce_rows(lambda c, x, keep: x[keep].reshape(len(x), c).sum(axis=-1), count, terms, positive)
+    return 0.0 - reduce_rows(lambda c, x, keep: x[keep].reshape(len(x), c).sum(axis=-1), count, terms, positive)
 
 
 def shannon_entropy(p) -> float:

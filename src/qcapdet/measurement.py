@@ -26,6 +26,7 @@ from .linalg import (
     PSD_TOL,
     SUM_RULE_TOL,
     TP_TOL,
+    _frozen,
     as_complex_matrix,
     check_dimension,
     check_rows,
@@ -43,8 +44,8 @@ class Povm:
     the columns j of ``factors`` with ``owner[j] == i``.  Dense elements are
     checked Hermitian and positive semidefinite, and the eigendecomposition
     of that check gives their factors; :meth:`from_kets` takes rank-one
-    elements directly.  Either way, completeness is checked once, as
-    B B^dagger = I.
+    elements directly, from its own copy.  Either way, completeness is
+    checked once, as B B^dagger = I; the factors and owners are read-only.
     """
 
     dim: int
@@ -79,7 +80,7 @@ class Povm:
     def from_kets(cls, dim: int, kets, labels: Sequence[str] = (), name: str = "povm") -> "Povm":
         """The rank-one POVM |k_i><k_i| over the rows k_i of ``kets``; such
         elements are Hermitian and positive by construction."""
-        kets = np.asarray(kets, dtype=complex)
+        kets = np.array(kets, dtype=complex)  # the caller's array stays the caller's
         if kets.ndim != 2 or kets.shape[1] != dim:
             raise DimensionMismatchError(f"ket stack shape {kets.shape} != (n, {dim})")
         povm = cls.__new__(cls)
@@ -94,7 +95,7 @@ class Povm:
         labels = tuple(labels) or tuple(f"outcome_{i}" for i in range(count))
         if len(labels) != count:
             raise DimensionMismatchError("label count differs from element count")
-        self.__dict__.update(dim=dim, factors=factors, owner=owner, labels=labels, name=name)
+        _frozen(self, dim=dim, factors=factors, owner=owner, labels=labels, name=name)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -119,11 +120,12 @@ class Povm:
 
     @cached_property
     def elements(self) -> tuple[np.ndarray, ...]:
-        """The dense elements Pi_i, built from the factors on first use."""
+        """The dense elements Pi_i, built from the factors on first use, as
+        read-only views of one stack the POVM keeps."""
         columns = self.factors.T
         stack = np.zeros((len(self), self.dim, self.dim), dtype=complex)
         np.add.at(stack, self.owner, columns[:, :, None] * columns[:, None, :].conj())
-        return tuple(stack)
+        return tuple(_frozen(self, element_stack=stack).element_stack)
 
 
 def bell_povm(d: int) -> Povm:

@@ -18,18 +18,19 @@ import numpy as np
 from .channels import weyl_unitaries
 from .errors import DimensionMismatchError, InvalidStateError
 from .linalg import PROB_TOL, as_complex_matrix, partial_trace_reference, validate_density_matrix
-from .linalg import check_dimension, check_rows, check_within
+from .linalg import _frozen, check_dimension, check_rows, check_within
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class BipartiteProbeState:
     """Probe on a d x d bipartite space given by its density matrix sigma.
 
-    A sigma from outside the program is checked as a d^2 x d^2 density
-    matrix when the probe is built, and d is derived from its shape.
+    A sigma from outside the program is copied and checked as a d^2 x d^2
+    density matrix when the probe is built, and d is derived from its shape.
     :func:`custom_probe` and the Bell-diagonal builders assemble a sigma
-    that is a density matrix by construction and store it unchecked.
-    Probes compare and hash by identity.
+    that is a density matrix by construction and store it unchecked.  Either
+    way sigma is the probe's own read-only array.  Probes compare and hash
+    by identity.
     """
 
     sigma: np.ndarray = field(repr=False)
@@ -37,44 +38,53 @@ class BipartiteProbeState:
     d: int
 
     def __init__(self, sigma, label: str = "probe"):
-        sigma = as_complex_matrix(sigma)
+        sigma = as_complex_matrix(sigma).copy()  # the caller's array stays the caller's
         d = math.isqrt(sigma.shape[0])
         if d < 1 or sigma.shape != (d * d, d * d):
             raise DimensionMismatchError(f"sigma shape {sigma.shape} is not (d^2, d^2)")
-        self._store(validate_density_matrix(sigma), label)
+        _frozen(self, sigma=validate_density_matrix(sigma), label=label, d=d)
 
-    def _store(self, sigma: np.ndarray, label: str):
-        self.__dict__.update(sigma=sigma, label=label, d=math.isqrt(sigma.shape[0]))
+
+def _probes(w: np.ndarray, kets: np.ndarray, norms: np.ndarray, labels: list[str]) -> list[BipartiteProbeState]:
+    """A labelled probe per row a of a weight stack (N, L) over terms A_l, given
+    by their double-kets |A_l>> as rows (L, d^2) and each Tr[A_l^dagger A_l]:
+    each row checked finite, nonnegative and sum_l a_l Tr[A_l^dagger A_l] = 1,
+    the first failing one named by its index as ``row``, which makes each
+    sigma = sum_l a_l |A_l>><<A_l|, from one batched product, a density matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite weights give inf or nan, which fail below
+        norm = w @ norms  # sum_l a_l Tr[A_l^dagger A_l]
+    messages = (
+        lambda k: "decomposition contains non-finite entries",
+        lambda k: f"negative decomposition weight {w[k].min()}",
+        lambda k: f"decomposition normalization {norm[k]} differs from 1",
+    )
+    faults = ~np.isfinite(w).all(axis=1), (w < 0.0).any(axis=1), abs(norm - 1.0) > PROB_TOL
+    check_rows(InvalidStateError, faults, messages)
+    sigmas = (kets.T * w[:, None, :]) @ kets.conj()
+    d = math.isqrt(kets.shape[1])
+    return [_frozen(object.__new__(BipartiteProbeState), sigma=s, label=label, d=d) for s, label in zip(sigmas, labels)]
 
 
 def custom_probe(weights, operators, label: str = "custom") -> BipartiteProbeState:
     """Assemble sigma = sum_l a_l |A_l>><<A_l| from decomposition terms (a_l, A_l).
 
-    The terms are checked: the operators stack as (L, d, d), weights and
-    operators agree in length and are finite, the weights are nonnegative and
-    sum_l a_l Tr[A_l^dagger A_l] = 1.  These make sigma positive, Hermitian
-    and of unit trace, so sigma itself is not checked again.
+    The operators are checked to stack as (L, d, d), agree with the weights
+    in length and be finite, then the weights as :func:`_probes` checks them;
+    so sigma is a density matrix by construction and not checked again.
     """
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = np.asarray(weights, dtype=float).reshape(1, -1)
     try:
         ops = np.asarray(operators, dtype=complex)
     except ValueError as exc:  # ragged: the operators differ in shape
         raise DimensionMismatchError(f"decomposition operators do not stack: {exc}") from exc
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
         raise DimensionMismatchError(f"operator stack shape {ops.shape} is not (L, d, d)")
-    if w.shape[0] != ops.shape[0]:
+    if w.shape[1] != ops.shape[0]:
         raise DimensionMismatchError("weights and operators disagree in length")
-    if not (np.isfinite(w).all() and np.isfinite(ops).all()):
+    if not np.isfinite(ops).all():  # the weights' finiteness is checked with their other checks
         raise InvalidStateError("decomposition contains non-finite entries")
-    if (w < 0.0).any():
-        raise InvalidStateError(f"negative decomposition weight {w.min()}")
-    norm = float(np.einsum("l,lij,lij->", w, ops.conj(), ops).real)  # sum_l a_l Tr[A_l^dagger A_l]
-    if abs(norm - 1.0) > PROB_TOL:
-        raise InvalidStateError(f"decomposition normalization {norm} differs from 1")
-    kets = ops.reshape(len(ops), -1)  # the double-kets |A_l>>
-    probe = BipartiteProbeState.__new__(BipartiteProbeState)
-    probe._store((kets.T * w) @ kets.conj(), label)
-    return probe
+    norms = np.einsum("lij,lij->l", ops.conj(), ops).real
+    return _probes(w, ops.reshape(len(ops), -1), norms, [label])[0]
 
 
 def max_entangled_probe(d: int) -> BipartiteProbeState:
@@ -86,33 +96,14 @@ def max_entangled_probe(d: int) -> BipartiteProbeState:
 
 def _bell_diagonal_probes(grids, labels: list[str] | None = None) -> list[BipartiteProbeState]:
     """Bell-diagonal probes, one per weight grid of a stack (N, d, d), each
-    with its label.  The terms are U_mn / sqrt(d); each grid is checked as
-    :func:`custom_probe` checks its weights, the first failing one named by
-    its index as ``row``: finite, nonnegative, and
-    sum_l a_l Tr[A_l^dagger A_l] = 1.  Every sigma comes from one batched
-    product, row by row the one custom_probe forms, and is stored unchecked."""
+    with its label: the terms U_mn / sqrt(d), each grid checked and its
+    sigma formed by :func:`_probes`, as :func:`custom_probe` checks and forms
+    its terms', bit for bit."""
     q = np.asarray(grids, dtype=float)
     if q.ndim != 3 or q.shape[1] != q.shape[2]:
         raise InvalidStateError(f"Bell weight grid must be square, got {q.shape[1:]}")
     d = q.shape[1]
-    w = q.reshape(len(q), d * d)
-    kets, norms = _bell_terms(d)
-    finite = np.isfinite(w).all(axis=1)
-    negative = (w < 0.0).any(axis=1)
-    norm = w @ norms  # sum_l a_l Tr[A_l^dagger A_l]
-    messages = (
-        lambda k: "decomposition contains non-finite entries",
-        lambda k: f"negative decomposition weight {w[k].min()}",
-        lambda k: f"decomposition normalization {norm[k]} differs from 1",
-    )
-    check_rows(InvalidStateError, (~finite, negative, abs(norm - 1.0) > PROB_TOL), messages)
-    sigmas = (kets.T * w[:, None, :]) @ kets.conj()
-    probes = []
-    for sigma, label in zip(sigmas, labels or [f"bell_diagonal(d={d})"] * len(q)):
-        probe = BipartiteProbeState.__new__(BipartiteProbeState)  # checked above, as one stack
-        probe._store(sigma, label)
-        probes.append(probe)
-    return probes
+    return _probes(q.reshape(len(q), d * d), *_bell_terms(d), labels or [f"bell_diagonal(d={d})"] * len(q))
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +130,7 @@ def _isotropic_probes(d: int, fidelities) -> list[BipartiteProbeState]:
     in order, through its Bell grid: fidelity at the identity and
     (1-fidelity)/(d^2-1) elsewhere."""
     check_dimension(d)
-    for fidelity in fidelities:
-        check_within("fidelity", fidelity, 1.0 / d**2, 1)
+    check_within("fidelity", fidelities, 1.0 / d**2, 1)
     f = np.array(fidelities, dtype=float)
     grids = np.repeat((1.0 - f) / (d * d - 1), d * d).reshape(-1, d, d)
     grids[:, 0, 0] = f
